@@ -1674,7 +1674,7 @@ pub fn pod_cluster(pods: usize, qps_per_pod: f64) -> SimResult<ScenarioConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uqsim_core::time::SimDuration;
+    use uqsim_core::time::{SimDuration, SimTime};
 
     fn quick(mut sim: Simulator, secs: u64) -> Simulator {
         sim.run_for(SimDuration::from_secs(secs));
@@ -1717,7 +1717,10 @@ mod tests {
         // Disk utilization dwarfs nginx utilization at this load.
         let disk = sim.instance_by_name("disk").unwrap();
         let ng = sim.instance_by_name("nginx").unwrap();
-        assert!(sim.instance_utilization(disk) > 3.0 * sim.instance_utilization(ng));
+        assert!(
+            sim.instance_utilization_since(disk, SimTime::ZERO)
+                > 3.0 * sim.instance_utilization_since(ng, SimTime::ZERO)
+        );
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!           [--shards <n>]
 //! uqsim chaos <scenario.json> --faults <faults.json> [--duration <secs>]
 //!             [--seed <n>] [--json] [--events <n>] [--shards <n>]
+//! uqsim why --config <scenario.json> [--faults <faults.json>] [--duration <secs>]
+//!           [--seed <n>] [--json] [--events <n>] [--shards <n>] [--out <dir>]
 //! uqsim top --config <scenario.json> [--duration <secs>] [--interval <secs>]
 //!           [--seed <n>] [--no-ansi]
 //! uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>]
 //!             [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>]
 //!             [--faults <faults.json>] [--shards <n>]
-//! uqsim sweep <scenario.json> --loads <qps,...> [--duration <secs>]
-//! uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]
 //! uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] [--events <n>]
 //!             [--shards <n>]
 //! uqsim gen --spec <gen.json> [--seed <n>] [--out <dir>] [--json]
@@ -28,30 +28,25 @@
 //!
 //! `run` executes the scenario and prints a latency/throughput summary
 //! (machine-readable with `--json`). With `--metrics-out <dir>` it enables
-//! the telemetry layer (periodic sampler + self-profiling) and writes
-//! `metrics.prom` (Prometheus text), `metrics.csv` (long-form
-//! `t_s,metric,label,value` time series), and `metrics.json` (full
-//! telemetry dump) into the directory. `top` is a live terminal view: it
-//! steps the simulation one sampler interval at a time and redraws a
-//! per-instance utilization / queue-depth / thread-occupancy table plus
-//! the latest windowed latency percentiles, like `top(1)` for the
-//! simulated cluster. `sweep --config` runs the scenario
-//! across a QPS grid × seed replications on the [`uqsim_runner`] thread
-//! pool and emits an aggregated CSV (or `--json`) table with 95%
+//! the telemetry layer (periodic sampler) and writes `metrics.prom`
+//! (Prometheus text), `metrics.csv` (long-form `t_s,metric,label,value`
+//! time series), and `metrics.json` (full telemetry dump) into the
+//! directory. `top` is a live terminal view: it steps the simulation one
+//! sampler interval at a time and redraws a per-instance utilization /
+//! queue-depth / thread-occupancy table plus the latest windowed latency
+//! percentiles, like `top(1)` for the simulated cluster. `sweep` runs the
+//! scenario across a QPS grid × seed replications on the [`uqsim_runner`]
+//! thread pool and emits an aggregated CSV (or `--json`) table with 95%
 //! confidence intervals; its output is byte-identical at any `--jobs`
-//! value. The legacy positional `sweep <path> --loads` form runs a serial
-//! single-seed sweep and prints a human-readable table. `trace` with a
-//! positional path samples
-//! distributed-tracing-style request traces and prints them as JSON lines;
-//! `trace --config` instead records the full per-request span log, writes
-//! it as Chrome `trace_event` JSON (open the file in `about:tracing` or
+//! value. `trace` records the full per-request span log, writes it as
+//! Chrome `trace_event` JSON (open the file in `about:tracing` or
 //! <https://ui.perfetto.dev>), and audits it against the simulator's
 //! invariants, exiting non-zero on any violation. `validate` parses and
 //! builds without running. `example` prints a complete scenario file to
 //! start from; more elaborate ones ship under `crates/cli/configs/`.
 //!
-//! `run` and `sweep --config` accept `--faults <faults.json>`: a fault
-//! plan ([`uqsim_core::FaultPlan`]) of scheduled fault windows (instance
+//! `run` and `sweep` accept `--faults <faults.json>`: a fault plan
+//! ([`uqsim_core::FaultPlan`]) of scheduled fault windows (instance
 //! crashes, machine slowdowns, network degradation, pool leaks) plus
 //! per-client resilience policies (retries with backoff and jitter,
 //! hedging, retry budgets, circuit breakers). `chaos` runs one faulted
@@ -62,36 +57,39 @@
 //! deterministic: the same scenario + plan + seed reproduces the same
 //! report byte-for-byte at any `--jobs` value.
 //!
-//! `run`, `chaos`, `trace --config`, and `sweep --config` accept
-//! `--shards <n>`: the scenario is split into request-closed *cells*
-//! (DESIGN.md §11) and the cells execute on `n` worker threads via
-//! [`uqsim_core::run_partitioned`]. Every output — the printed summary,
-//! metrics files, Chrome trace, chaos report, sweep table — is
-//! byte-identical at any `--shards` value, so `--shards` is purely a
-//! wall-clock knob, like `--jobs` for sweeps. (The partitioned engine
-//! draws per-cell RNG streams, so its results are statistically
-//! equivalent but not bitwise equal to a run *without* `--shards`;
-//! compare partitioned runs against partitioned runs.) Partition
-//! diagnostics go to stderr, keeping stdout shard-invariant.
+//! `run`, `chaos`, `why`, `trace`, and `sweep` all execute through
+//! [`uqsim_core::run_partitioned`]: the scenario is split into
+//! request-closed *cells* (DESIGN.md §11) that run on `--shards <n>`
+//! worker threads (default 1). A scenario that forms one cell runs under
+//! its own seed, exactly as one simulator. Every output — the printed
+//! summary, metrics files, Chrome trace, chaos report, attribution
+//! report, sweep table — is byte-identical with `--shards` absent, `1`, or
+//! any other value, so `--shards` is purely a wall-clock knob, like
+//! `--jobs` for sweeps. Partition diagnostics go to stderr.
 //!
 //! `gen` synthesizes a DeathStarBench-class scenario from a compact
 //! generation spec ([`uqsim_synth::GenSpec`]): layered service graphs with
 //! sampled widths and fan-outs, instance placement, pools, request DAGs,
 //! and clients. Generation is deterministic per `(spec, seed)` — `--json`
 //! output is byte-identical across runs and machines. `run`, `chaos`,
-//! `why`, and `sweep --config` accept `--gen <gen.json>` in place of a
-//! scenario path: the spec is generated on the fly (the command's `--seed`
-//! doubles as the generation seed) and then treated exactly like a
-//! hand-written scenario directory. An example spec ships at
+//! `why`, and `sweep` accept `--gen <gen.json>` in place of a scenario
+//! path: the spec is generated in memory (the command's `--seed` doubles
+//! as the generation seed) and run like any hand-written scenario; report
+//! headers name the spec file. An example spec ships at
 //! `crates/cli/configs/gen_dsb.json`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use serde_json::{json, Value};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::partition::CellOutput;
 use uqsim_core::telemetry::TelemetryConfig;
 use uqsim_core::time::SimDuration;
+use uqsim_core::{FaultPlan, PartitionOptions, PartitionedRun, SimError, TraceLog};
 
 const EXAMPLE: &str = include_str!("../configs/quickstart.json");
 
@@ -140,20 +138,116 @@ fn usage() -> ExitCode {
          uqsim sweep --config <scenario.json> --qps <lo:hi:step|a,b,..> [--reps <k>] \
          [--jobs <n>] [--duration <secs>] [--seed <n>] [--json] [--out <file>] \
          [--faults <faults.json>] [--shards <n>]\n  \
-         uqsim sweep <scenario.json> --loads <qps,...> [--duration <secs>]\n  \
-         uqsim trace <scenario.json> [--duration <secs>] [--every <n>] [--max <n>]\n  \
          uqsim trace --config <scenario.json> [--out <trace.json>] [--duration <secs>] \
          [--events <n>] [--shards <n>]\n  \
          uqsim gen --spec <gen.json> [--seed <n>] [--out <dir>] [--json]\n  \
          uqsim validate <scenario.json|dir>\n  uqsim split <scenario.json> <dir>\n  uqsim example\n\
-         \nrun, chaos, why, and sweep --config also accept --gen <gen.json> in place of a\n\
+         \nrun, chaos, why, and sweep also accept --gen <gen.json> in place of a\n\
          scenario path: the spec is generated (seed = --seed) and run like any scenario."
     );
     ExitCode::from(2)
 }
 
+/// Why a command did not finish normally.
+enum Fail {
+    /// Malformed command line: print the usage text, exit 2.
+    Usage,
+    /// A well-formed but invalid argument value: print it, exit 2.
+    Input(String),
+    /// The simulation or its I/O failed: print it, exit 1.
+    Sim(SimError),
+}
+
+impl From<SimError> for Fail {
+    fn from(e: SimError) -> Self {
+        Fail::Sim(e)
+    }
+}
+
+impl From<std::io::Error> for Fail {
+    fn from(e: std::io::Error) -> Self {
+        Fail::Sim(e.into())
+    }
+}
+
+/// `Ok(true)`: success; `Ok(false)`: the command ran but its checks
+/// failed (exit 1).
+type Outcome = Result<bool, Fail>;
+
+/// One command's parsed flags. `spec` lists the flags it accepts; a name
+/// ending in `=` takes a value. Unknown flags, missing values and surplus
+/// positional arguments are usage errors; a repeated flag keeps its last
+/// value.
+struct Flags {
+    positional: Option<String>,
+    values: Vec<(&'static str, Option<String>)>,
+}
+
+impl Flags {
+    fn parse(args: &[String], spec: &[&'static str], positional: bool) -> Result<Flags, Fail> {
+        let mut flags = Flags {
+            positional: None,
+            values: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if let Some(&name) = spec
+                .iter()
+                .find(|s| s.trim_end_matches('=') == arg.as_str())
+            {
+                let value = if name.ends_with('=') {
+                    Some(args.next().ok_or(Fail::Usage)?.clone())
+                } else {
+                    None
+                };
+                flags.values.push((name.trim_end_matches('='), value));
+            } else if positional && !arg.starts_with("--") && flags.positional.is_none() {
+                flags.positional = Some(arg.clone());
+            } else {
+                return Err(Fail::Usage);
+            }
+        }
+        Ok(flags)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.values.iter().any(|(n, _)| *n == name)
+    }
+
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The flag's value parsed as `T`: `None` when absent, a usage error
+    /// when unparsable.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, Fail> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| Fail::Usage))
+            .transpose()
+    }
+
+    /// [`Flags::opt`] with a default for an absent flag.
+    fn num<T: FromStr>(&self, name: &str, default: T) -> Result<T, Fail> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// A strictly positive `name` (default `default`).
+    fn positive(&self, name: &str, default: f64) -> Result<f64, Fail> {
+        let v = self.num(name, default)?;
+        if v > 0.0 {
+            Ok(v)
+        } else {
+            Err(Fail::Usage)
+        }
+    }
+}
+
 /// Loads a scenario from a single file or a Table I directory.
-fn load(path: &Path) -> Result<ScenarioConfig, uqsim_core::SimError> {
+fn load(path: &Path) -> Result<ScenarioConfig, SimError> {
     if path.is_dir() {
         ScenarioConfig::from_dir(path)
     } else {
@@ -161,879 +255,268 @@ fn load(path: &Path) -> Result<ScenarioConfig, uqsim_core::SimError> {
     }
 }
 
-/// `--gen <spec>` support: generates the spec's scenario into a temp
-/// Table I directory and returns its path, so every command can load it
-/// exactly like a hand-written scenario directory. The command's `--seed`
-/// doubles as the generation seed (falling back to the spec's own
-/// default), keeping `(spec, seed) → scenario` reproducible from any
-/// entry point. The summary goes to stderr; stdout stays reserved for
-/// the command's own (byte-stable) output.
-fn materialize_gen(
-    spec_path: &Path,
-    seed: Option<u64>,
-) -> Result<std::path::PathBuf, uqsim_core::SimError> {
+/// `--gen <spec>` support: generates the spec's scenario in memory, so
+/// every command runs it exactly like a hand-written scenario. The
+/// command's `--seed` doubles as the generation seed (falling back to the
+/// spec's own default), keeping `(spec, seed) → scenario` reproducible
+/// from any entry point. The summary goes to stderr; stdout stays
+/// reserved for the command's own (byte-stable) output.
+fn generate(spec_path: &Path, seed: Option<u64>) -> Result<ScenarioConfig, SimError> {
     let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
     let seed = seed.unwrap_or(spec.seed);
     let cfg = spec.generate(seed)?;
-    let dir = std::env::temp_dir().join(format!(
-        "uqsim-gen-{}-{}-{seed}",
-        std::process::id(),
-        spec.name
-    ));
-    cfg.write_dir(&dir)?;
     eprintln!(
-        "generated {} seed {seed}: {} -> {}",
+        "generated {} seed {seed}: {}",
         spec.name,
-        uqsim_synth::summarize(&cfg),
-        dir.display()
+        uqsim_synth::summarize(&cfg)
     );
-    Ok(dir)
+    Ok(cfg)
 }
 
 /// `uqsim gen`: generate a scenario from a spec, deterministically per
 /// `(spec, seed)`. `--out <dir>` writes the Table I layout the other
 /// commands load; `--json` prints the single-file scenario to stdout
 /// (byte-identical across runs — CI regenerates and `cmp`s it); with
-/// neither, the spec is validated, generated, and built, and only the
-/// summary line is printed.
-fn gen_cmd(
-    spec_path: &Path,
-    seed: Option<u64>,
-    out: Option<&Path>,
-    json: bool,
-) -> Result<(), uqsim_core::SimError> {
-    let spec = uqsim_synth::GenSpec::from_file(spec_path)?;
-    let seed = seed.unwrap_or(spec.seed);
-    let cfg = spec.generate(seed)?;
-    if let Some(dir) = out {
-        cfg.write_dir(dir)?;
-        eprintln!("wrote Table I layout to {}", dir.display());
+/// neither, the spec is validated, generated, and built.
+fn gen_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(args, &["--spec=", "--seed=", "--out=", "--json"], false)?;
+    let spec = f.get("--spec").ok_or(Fail::Usage)?;
+    let cfg = generate(Path::new(spec), f.opt("--seed")?)?;
+    if let Some(dir) = f.get("--out") {
+        cfg.write_dir(Path::new(dir))?;
+        eprintln!("wrote Table I layout to {dir}");
     }
-    if json {
+    if f.has("--json") {
         println!("{}", cfg.to_json());
     }
-    if out.is_none() && !json {
+    if !f.has("--out") && !f.has("--json") {
         // Dry run: prove the generated scenario actually builds.
         cfg.build()?;
     }
-    eprintln!(
-        "generated {} seed {seed}: {}",
-        spec.name,
-        uqsim_synth::summarize(&cfg)
+    Ok(true)
+}
+
+/// A scenario ready to run, with the parameters every simulating command
+/// shares.
+struct Job {
+    /// The scenario, its seed already overridden by `--seed`.
+    cfg: ScenarioConfig,
+    /// How report headers name the scenario: its path, or the `--gen`
+    /// spec's path.
+    source: String,
+    /// The `--faults` plan and its path.
+    faults: Option<(FaultPlan, String)>,
+    duration_s: f64,
+    shards: usize,
+}
+
+impl Job {
+    /// Reads the scenario (from `path_flag`'s value, or the positional
+    /// argument when `None`, or `--gen`), `--seed`, `--faults`,
+    /// `--duration` (default `duration_s`), and `--shards`.
+    fn load(f: &Flags, path_flag: Option<&str>, duration_s: f64) -> Result<Job, Fail> {
+        let seed = f.opt("--seed")?;
+        let duration_s = f.num("--duration", duration_s)?;
+        let shards = f.num("--shards", 1usize)?;
+        if shards == 0 {
+            return Err(Fail::Usage);
+        }
+        let path = match path_flag {
+            Some(flag) => f.get(flag),
+            None => f.positional.as_deref(),
+        };
+        let (mut cfg, source) = match (path, f.get("--gen")) {
+            (Some(path), None) => (load(Path::new(path))?, path),
+            (None, Some(spec)) => (generate(Path::new(spec), seed)?, spec),
+            _ => return Err(Fail::Usage),
+        };
+        if let Some(seed) = seed {
+            cfg.seed = seed;
+        }
+        let faults = match f.get("--faults") {
+            Some(p) => Some((FaultPlan::from_file(Path::new(p))?, p.to_string())),
+            None => None,
+        };
+        Ok(Job {
+            cfg,
+            source: source.to_string(),
+            faults,
+            duration_s,
+            shards,
+        })
+    }
+
+    /// Runs the scenario on `shards` workers, recording only what
+    /// `telemetry` and `span_tracing` ask for.
+    fn run(
+        &self,
+        telemetry: TelemetryConfig,
+        span_tracing: Option<usize>,
+    ) -> Result<PartitionedRun, SimError> {
+        let opts = PartitionOptions {
+            telemetry,
+            span_tracing,
+            ..PartitionOptions::with_shards(self.shards)
+        };
+        let run = uqsim_core::run_partitioned(
+            &self.cfg,
+            self.faults.as_ref().map(|(plan, _)| plan),
+            self.cfg.seed,
+            SimDuration::from_secs_f64(self.duration_s),
+            &opts,
+        )?;
+        eprintln!(
+            "partition: {} cell(s) on {} shard(s)",
+            run.cells.len(),
+            run.shards
+        );
+        Ok(run)
+    }
+}
+
+/// Telemetry that streams the critical-path profile and nothing else.
+fn critpath() -> TelemetryConfig {
+    TelemetryConfig {
+        critpath: true,
+        ..TelemetryConfig::default()
+    }
+}
+
+/// `head`'s keys, then `"cells"` when the run had more than one cell (a
+/// one-cell run prints exactly what a single simulator does), then
+/// `tail`'s keys.
+fn with_cells(head: Value, cells: usize, tail: Value) -> Value {
+    let mut out = head.as_object().cloned().unwrap_or_default();
+    if cells > 1 {
+        out.insert("cells", json!(cells));
+    }
+    for (k, v) in tail.as_object().into_iter().flatten() {
+        out.insert(k.clone(), v.clone());
+    }
+    Value::Object(out)
+}
+
+/// Prints a pretty JSON document on stdout.
+fn print_json(doc: &Value) {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(doc).expect("report serializes")
     );
-    Ok(())
 }
 
 fn main() -> ExitCode {
     uqsim_core::telemetry::set_alloc_probe(|| ALLOCATIONS.load(Ordering::Relaxed));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("example") => {
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage();
+    };
+    let outcome = match cmd.as_str() {
+        "example" => {
             println!("{EXAMPLE}");
-            ExitCode::SUCCESS
+            Ok(true)
         }
-        Some("split") => {
-            let (Some(src), Some(dst)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            match load(Path::new(src)).and_then(|c| c.write_dir(Path::new(dst))) {
-                Ok(()) => {
+        "split" => match rest {
+            [src, dst, ..] => load(Path::new(src))
+                .and_then(|c| c.write_dir(Path::new(dst)))
+                .map(|()| {
                     println!("wrote Table I layout to {dst}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("validate") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            match load(Path::new(path)).and_then(|c| c.build()) {
+                    true
+                })
+                .map_err(Fail::Sim),
+            _ => Err(Fail::Usage),
+        },
+        "validate" => match rest.first() {
+            Some(path) => match load(Path::new(path)).and_then(|c| c.build()) {
                 Ok(sim) => {
                     println!(
                         "ok: {} instances, {} pending events at t=0",
                         sim.instance_count(),
                         sim.live_requests()
                     );
-                    ExitCode::SUCCESS
+                    Ok(true)
                 }
                 Err(e) => {
                     eprintln!("invalid: {e}");
-                    ExitCode::FAILURE
+                    Ok(false)
                 }
-            }
+            },
+            None => Err(Fail::Usage),
+        },
+        "gen" => gen_cmd(rest),
+        "run" => run_cmd(rest),
+        "chaos" => chaos_cmd(rest),
+        "why" => why_cmd(rest),
+        "top" => top_cmd(rest),
+        "sweep" => sweep_cmd(rest),
+        "trace" => trace_cmd(rest),
+        _ => Err(Fail::Usage),
+    };
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(Fail::Usage) => usage(),
+        Err(Fail::Input(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
         }
-        Some("gen") => {
-            let mut spec_path = None;
-            let mut seed = None;
-            let mut out = None;
-            let mut json = false;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--spec" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        spec_path = Some(v.clone());
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(spec_path) = spec_path else {
-                return usage();
-            };
-            match gen_cmd(Path::new(&spec_path), seed, out.as_deref(), json) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+        Err(Fail::Sim(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-        Some("sweep") if args.iter().any(|a| a == "--config" || a == "--gen") => {
-            sweep_grid(&args[1..])
-        }
-        Some("sweep") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let mut duration = 5.0f64;
-            let mut loads: Vec<f64> = Vec::new();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--loads" => {
-                        let Some(list) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        loads = list.split(',').filter_map(|x| x.parse().ok()).collect();
-                        i += 2;
-                    }
-                    _ => return usage(),
-                }
-            }
-            if loads.is_empty() {
-                return usage();
-            }
-            match sweep(Path::new(path), &loads, duration) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("trace") => {
-            let mut positional = None;
-            let mut config = None;
-            let mut out = None;
-            let mut duration = 2.0f64;
-            let mut every = 100u64;
-            let mut max = 20usize;
-            let mut events = 1_000_000usize;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--every" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        every = v;
-                        i += 2;
-                    }
-                    "--max" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        max = v;
-                        i += 2;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            if let Some(config) = config {
-                // Chrome trace_event export with invariant auditing.
-                let outcome = match shards {
-                    Some(shards) => chrome_export_sharded(
-                        Path::new(&config),
-                        duration,
-                        out.as_deref(),
-                        events,
-                        shards,
-                    ),
-                    None => chrome_export(Path::new(&config), duration, out.as_deref(), events),
-                };
-                match outcome {
-                    Ok(true) => ExitCode::SUCCESS,
-                    Ok(false) => ExitCode::FAILURE,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            } else {
-                // Legacy JSON-lines sampled request traces.
-                if shards.is_some() {
-                    // Sampled JSON-lines traces have no partitioned form.
-                    return usage();
-                }
-                let Some(path) = positional else {
-                    return usage();
-                };
-                match trace(Path::new(&path), duration, every, max) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-        }
-        Some("run") => {
-            let mut positional: Option<String> = None;
-            let mut gen_spec: Option<String> = None;
-            let mut duration = 5.0f64;
-            let mut json = false;
-            let mut seed = None;
-            let mut metrics_out = None;
-            let mut sample_interval = 0.1f64;
-            let mut faults = None;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--metrics-out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        metrics_out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--sample-interval" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        if v <= 0.0 {
-                            return usage();
-                        }
-                        sample_interval = v;
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let path = match (positional, gen_spec) {
-                (Some(p), None) => std::path::PathBuf::from(p),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let path = path.as_path();
-            let outcome = match shards {
-                Some(shards) => run_sharded(
-                    path,
-                    duration,
-                    seed,
-                    json,
-                    metrics_out.as_deref(),
-                    sample_interval,
-                    faults.as_deref(),
-                    shards,
-                ),
-                None => run(
-                    path,
-                    duration,
-                    seed,
-                    json,
-                    metrics_out.as_deref(),
-                    sample_interval,
-                    faults.as_deref(),
-                ),
-            };
-            match outcome {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("chaos") => {
-            let mut positional: Option<String> = None;
-            let mut gen_spec: Option<String> = None;
-            let mut duration = 5.0f64;
-            let mut seed = None;
-            let mut json = false;
-            let mut faults = None;
-            let mut events = 4_000_000usize;
-            let mut shards = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    flag if flag.starts_with("--") => return usage(),
-                    _ if positional.is_none() => {
-                        positional = Some(args[i].clone());
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(faults) = faults else {
-                return usage();
-            };
-            let path = match (positional, gen_spec) {
-                (Some(p), None) => std::path::PathBuf::from(p),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let path = path.as_path();
-            let outcome = match shards {
-                Some(shards) => chaos_sharded(path, &faults, duration, seed, json, events, shards),
-                None => chaos(path, &faults, duration, seed, json, events),
-            };
-            match outcome {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("why") => {
-            let mut config = None;
-            let mut gen_spec: Option<String> = None;
-            let mut faults = None;
-            let mut duration = 5.0f64;
-            let mut seed = None;
-            let mut json = false;
-            let mut events = 4_000_000usize;
-            let mut shards = None;
-            let mut out = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--gen" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        gen_spec = Some(v.clone());
-                        i += 2;
-                    }
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--faults" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        faults = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--events" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        events = v;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                            return usage();
-                        };
-                        if v == 0 {
-                            return usage();
-                        }
-                        shards = Some(v);
-                        i += 2;
-                    }
-                    "--out" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        out = Some(std::path::PathBuf::from(v));
-                        i += 2;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let config = match (config, gen_spec) {
-                (Some(c), None) => std::path::PathBuf::from(c),
-                (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-                    Ok(dir) => dir,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                _ => return usage(),
-            };
-            let outcome = match shards {
-                Some(shards) => why_sharded(
-                    Path::new(&config),
-                    faults.as_deref(),
-                    duration,
-                    seed,
-                    json,
-                    shards,
-                    out.as_deref(),
-                ),
-                None => why(
-                    Path::new(&config),
-                    faults.as_deref(),
-                    duration,
-                    seed,
-                    json,
-                    events,
-                    out.as_deref(),
-                ),
-            };
-            match outcome {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("top") => {
-            let mut config = None;
-            let mut duration = 10.0f64;
-            let mut interval = 1.0f64;
-            let mut seed = None;
-            let mut ansi = true;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--config" => {
-                        let Some(v) = args.get(i + 1) else {
-                            return usage();
-                        };
-                        config = Some(v.clone());
-                        i += 2;
-                    }
-                    "--duration" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        duration = v;
-                        i += 2;
-                    }
-                    "--interval" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                            return usage();
-                        };
-                        if v <= 0.0 {
-                            return usage();
-                        }
-                        interval = v;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = Some(v);
-                        i += 2;
-                    }
-                    "--no-ansi" => {
-                        ansi = false;
-                        i += 1;
-                    }
-                    _ => return usage(),
-                }
-            }
-            let Some(config) = config else {
-                return usage();
-            };
-            match top(Path::new(&config), duration, interval, seed, ansi) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    metrics_out: Option<&Path>,
-    sample_interval_s: f64,
-    faults: Option<&Path>,
-) -> Result<(), uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let mut sim = cfg.build()?;
-    if let Some(faults) = faults {
-        let plan = uqsim_core::FaultPlan::from_file(faults)?;
-        sim.install_faults(&plan)?;
-    }
-    if metrics_out.is_some() {
-        sim.enable_telemetry(TelemetryConfig {
-            sample_interval: Some(SimDuration::from_secs_f64(sample_interval_s)),
-            self_profile: true,
-            ..TelemetryConfig::default()
-        });
-    }
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-    let s = sim.latency_summary();
-    let measured_span = duration_s - cfg.warmup_s;
-    let throughput = s.count as f64 / measured_span.max(f64::EPSILON);
-    let goodput = (s.count as u64).saturating_sub(sim.degraded_measured()) as f64
-        / measured_span.max(f64::EPSILON);
-    if json {
-        let mut out = serde_json::json!({
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "generated": sim.generated(),
-            "completed": sim.completed(),
-            "throughput_qps": throughput,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
-            "events_processed": sim.events_processed(),
-        });
-        if let Some(f) = sim.fault_summary() {
-            if let serde_json::Value::Object(obj) = &mut out {
-                obj.insert("goodput_qps", serde_json::json!(goodput));
-                obj.insert(
-                    "faults",
-                    serde_json::to_value(&f).expect("fault summary serializes"),
-                );
-            }
-        }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("summary serializes")
+/// `uqsim run`: prints the run summary and, with `--metrics-out`, writes
+/// the metrics files.
+fn run_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--gen=",
+            "--duration=",
+            "--seed=",
+            "--json",
+            "--metrics-out=",
+            "--sample-interval=",
+            "--faults=",
+            "--shards=",
+        ],
+        true,
+    )?;
+    let sample_interval = f.positive("--sample-interval", 0.1)?;
+    let metrics_out = f.get("--metrics-out").map(Path::new);
+    let job = Job::load(&f, None, 5.0)?;
+    let telemetry = TelemetryConfig {
+        sample_interval: metrics_out.map(|_| SimDuration::from_secs_f64(sample_interval)),
+        ..TelemetryConfig::default()
+    };
+    let run = job.run(telemetry, None)?;
+    let (r, duration_s, warmup_s) = (&run.result, job.duration_s, job.cfg.warmup_s);
+    if f.has("--json") {
+        let mut out = with_cells(
+            json!({ "duration_s": duration_s, "warmup_s": warmup_s }),
+            run.cells.len(),
+            json!({
+                "generated": r.generated,
+                "completed": r.completed,
+                "throughput_qps": r.achieved_qps,
+                "latency_s": {
+                    "count": r.latency.count, "mean": r.latency.mean, "p50": r.latency.p50,
+                    "p95": r.latency.p95, "p99": r.latency.p99, "max": r.latency.max,
+                },
+                "events_processed": r.events_processed,
+            }),
         );
-    } else {
-        println!("simulated {duration_s}s (warmup {}s)", cfg.warmup_s);
-        println!(
-            "requests: generated {}, completed {}",
-            sim.generated(),
-            sim.completed()
-        );
-        println!("throughput: {throughput:.0} req/s over the measured window");
-        println!(
-            "latency: mean {:.3}ms p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms max {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.max * 1e3,
-            s.count
-        );
-        println!("engine: {} events processed", sim.events_processed());
-        if let Some(f) = sim.fault_summary() {
-            println!(
-                "faults: {} dropped, {} shed, {} timed out, {} retries, {} degraded \
-                 ({:.0} req/s goodput)",
-                f.dropped, f.shed, f.timed_out, f.retried, f.degraded, goodput
+        if let (Some(fs), Value::Object(obj)) = (&r.fault, &mut out) {
+            obj.insert("goodput_qps", json!(r.goodput_qps));
+            obj.insert(
+                "faults",
+                serde_json::to_value(fs).expect("fault summary serializes"),
             );
         }
-    }
-    if let Some(dir) = metrics_out {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("metrics.prom"), sim.metrics_prometheus())?;
-        std::fs::write(
-            dir.join("metrics.csv"),
-            sim.metrics_csv().expect("sampler is enabled"),
-        )?;
-        std::fs::write(
-            dir.join("metrics.json"),
-            serde_json::to_string_pretty(&sim.metrics_json()).expect("metrics serialize"),
-        )?;
-        eprintln!(
-            "wrote metrics.prom, metrics.csv, metrics.json to {}",
-            dir.display()
-        );
-    }
-    Ok(())
-}
-
-/// `run --shards N`: the partitioned sibling of [`run`]. The scenario is
-/// split into request-closed cells ([`uqsim_core::run_partitioned`]) and
-/// the cells execute on `shards` worker threads; every stdout byte and
-/// every metrics file is identical at any `--shards` value. Partition
-/// diagnostics (cell count, shard count) go to stderr so stdout stays
-/// shard-invariant.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    metrics_out: Option<&Path>,
-    sample_interval_s: f64,
-    faults: Option<&Path>,
-    shards: usize,
-) -> Result<(), uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = match faults {
-        Some(p) => Some(uqsim_core::FaultPlan::from_file(p)?),
-        None => None,
-    };
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    if metrics_out.is_some() {
-        opts.telemetry.sample_interval = Some(SimDuration::from_secs_f64(sample_interval_s));
-    }
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        plan.as_ref(),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let r = &run.result;
-    if json {
-        let mut out = serde_json::json!({
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "cells": run.cells.len(),
-            "generated": r.generated,
-            "completed": r.completed,
-            "throughput_qps": r.achieved_qps,
-            "latency_s": {
-                "count": r.latency.count, "mean": r.latency.mean, "p50": r.latency.p50,
-                "p95": r.latency.p95, "p99": r.latency.p99, "max": r.latency.max,
-            },
-            "events_processed": r.events_processed,
-        });
-        if let Some(f) = &r.fault {
-            if let serde_json::Value::Object(obj) = &mut out {
-                obj.insert("goodput_qps", serde_json::json!(r.goodput_qps));
-                obj.insert(
-                    "faults",
-                    serde_json::to_value(f).expect("fault summary serializes"),
-                );
-            }
-        }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("summary serializes")
-        );
+        print_json(&out);
     } else {
-        println!("simulated {duration_s}s (warmup {}s)", cfg.warmup_s);
+        println!("simulated {duration_s}s (warmup {warmup_s}s)");
         println!(
             "requests: generated {}, completed {}",
             r.generated, r.completed
@@ -1052,11 +535,11 @@ fn run_sharded(
             r.latency.count
         );
         println!("engine: {} events processed", r.events_processed);
-        if let Some(f) = &r.fault {
+        if let Some(fs) = &r.fault {
             println!(
                 "faults: {} dropped, {} shed, {} timed out, {} retries, {} degraded \
                  ({:.0} req/s goodput)",
-                f.dropped, f.shed, f.timed_out, f.retried, f.degraded, r.goodput_qps
+                fs.dropped, fs.shed, fs.timed_out, fs.retried, fs.degraded, r.goodput_qps
             );
         }
     }
@@ -1076,381 +559,190 @@ fn run_sharded(
             dir.display()
         );
     }
-    Ok(())
+    Ok(true)
 }
 
-/// Runs one faulted scenario with full span tracing, audits
-/// request-outcome conservation, and prints a failure-mode report: the
-/// fault timeline, terminal-outcome counters, resilience activity, and
-/// goodput vs. achieved throughput. Returns whether the audit was clean.
+/// Span events dropped across all cells; warns per truncated cell.
+fn dropped_spans(run: &PartitionedRun, events: usize, consequence: &str) -> u64 {
+    for c in run.cells.iter().filter(|c| c.span_dropped() > 0) {
+        eprintln!(
+            "{consequence}: cell {} span log truncated ({} events dropped at capacity \
+             {events}) — raise --events",
+            c.cell,
+            c.span_dropped()
+        );
+    }
+    run.cells.iter().map(CellOutput::span_dropped).sum()
+}
+
+/// Span events recorded across all cells.
+fn span_events(run: &PartitionedRun) -> usize {
+    run.cells
+        .iter()
+        .filter_map(|c| c.span_log.as_ref())
+        .map(TraceLog::len)
+        .sum()
+}
+
+/// `uqsim chaos`: runs one faulted scenario with full span tracing,
+/// audits request-outcome conservation, and prints a failure-mode report:
+/// the fault timeline, terminal-outcome counters, resilience activity, and
+/// goodput vs. achieved throughput. Succeeds when the audit is clean.
 ///
 /// The report is deterministic: the same scenario + plan + seed prints
-/// byte-identical text on every run.
-fn chaos(
-    path: &Path,
-    faults_path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let plan = uqsim_core::FaultPlan::from_file(faults_path)?;
-    let mut sim = cfg.build()?;
-    sim.install_faults(&plan)?;
-    sim.enable_span_tracing(events);
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-
-    let f = sim.fault_summary().expect("fault plan is installed");
-    let s = sim.latency_summary();
-    let ts = sim.timeout_latency_summary();
-    let measured = (duration_s - cfg.warmup_s).max(f64::EPSILON);
-    let achieved = s.count as f64 / measured;
-    let goodput = (s.count as u64).saturating_sub(sim.degraded_measured()) as f64 / measured;
-    let log = sim.span_log().expect("span tracing is enabled");
-    let truncated = log.dropped() > 0;
-    if truncated {
-        eprintln!(
-            "warning: span log truncated ({} events dropped at capacity {events}); \
-             audit skipped — raise --events",
-            log.dropped()
-        );
-    }
-    let report = (!truncated).then(|| sim.audit_trace().expect("span tracing is enabled"));
-    let clean = report.as_ref().is_some_and(|r| r.is_clean());
-    let critpath = sim
-        .critpath_profile()
-        .map(|p| p.report())
-        .filter(|r| r.requests > 0);
-
-    if json {
-        let out = serde_json::json!({
-            "scenario": path.display().to_string(),
-            "faults": faults_path.display().to_string(),
-            "seed": cfg.seed,
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "generated": sim.generated(),
-            "completed": sim.completed(),
-            "outcomes": {
-                "dropped": f.dropped,
-                "shed": f.shed,
-                "timed_out": f.timed_out,
-                "degraded": f.degraded,
-            },
-            "resilience": {
-                "retried": f.retried,
-                "hedged": f.hedged,
-                "breaker_trips": f.breaker_trips,
-                "jobs_killed": f.jobs_killed,
-                "packets_dropped": f.packets_dropped,
-                "retransmits": f.retransmits,
-            },
-            "throughput_qps": achieved,
-            "goodput_qps": goodput,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
-            "timeout_latency_s": { "count": ts.count, "p50": ts.p50, "p99": ts.p99 },
-            "timeline": serde_json::to_value(&f.timeline).expect("timeline serializes"),
-            "critpath": critpath.as_ref().map(|r| r.to_json()),
-            "audit": if truncated {
-                serde_json::json!({ "skipped": "span log truncated; raise --events" })
-            } else {
-                let r = report.as_ref().expect("audited");
-                serde_json::json!({
-                    "clean": r.is_clean(),
-                    "violations": r.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                })
-            },
-        });
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("report serializes")
-        );
-    } else {
-        println!(
-            "chaos report: {} + {} (seed {}, {duration_s}s simulated, warmup {}s)",
-            path.display(),
-            faults_path.display(),
-            cfg.seed,
-            cfg.warmup_s
-        );
-        println!();
-        println!("timeline:");
-        if f.timeline.is_empty() {
-            println!("  (no fault windows fired)");
-        }
-        for entry in &f.timeline {
-            println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
-        }
-        println!();
-        println!("outcomes:");
-        println!(
-            "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
-            sim.generated(),
-            sim.completed(),
-            f.dropped,
-            f.shed,
-            f.timed_out
-        );
-        println!(
-            "  degraded responses {} (breaker sheds + quorum early-fires)",
-            f.degraded
-        );
-        println!();
-        println!("resilience:");
-        println!(
-            "  retries {}  hedges {}  breaker trips {}",
-            f.retried, f.hedged, f.breaker_trips
-        );
-        println!(
-            "  jobs killed {}  packets dropped {}  retransmits {}",
-            f.jobs_killed, f.packets_dropped, f.retransmits
-        );
-        println!();
-        println!(
-            "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
-             p99 {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.count
-        );
-        if ts.count > 0 {
-            println!(
-                "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
-                ts.p50 * 1e3,
-                ts.p99 * 1e3,
-                ts.count
-            );
-        }
-        println!(
-            "goodput: {goodput:.0} req/s of {achieved:.0} req/s achieved \
-             ({:.1}% full fidelity)",
-            100.0 * goodput / achieved.max(f64::EPSILON)
-        );
-        println!();
-        if let Some(rep) = &critpath {
-            print_tail_attribution(rep);
-        }
-        if truncated {
-            println!(
-                "audit: skipped ({} span events dropped; raise --events)",
-                log.dropped()
-            );
-        } else {
-            let r = report.as_ref().expect("audited");
-            if r.is_clean() {
-                println!(
-                    "audit: clean — every request reached exactly one terminal state \
-                     ({} spans checked)",
-                    r.spans_checked
-                );
-            } else {
-                println!("audit: {} violations", r.violations.len());
-                for v in &r.violations {
-                    println!("  {v}");
-                }
-            }
-        }
-    }
-    Ok(clean)
-}
-
-/// `chaos --shards N`: the partitioned chaos runner. The fault plan is
-/// validated against the whole scenario, split per cell, and installed in
-/// every cell; per-cell timelines, counters, audits, and latency samples
-/// are merged deterministically, so the printed report is byte-identical
-/// at any `--shards` value.
-#[allow(clippy::too_many_arguments)]
-fn chaos_sharded(
-    path: &Path,
-    faults_path: &Path,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-    shards: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = uqsim_core::FaultPlan::from_file(faults_path)?;
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    opts.span_tracing = Some(events);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        Some(&plan),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
+/// byte-identical text on every run, at any `--shards`.
+fn chaos_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--gen=",
+            "--duration=",
+            "--seed=",
+            "--json",
+            "--faults=",
+            "--events=",
+            "--shards=",
+        ],
+        true,
     )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
-    let r = &run.result;
-    let f = r.fault.as_ref().expect("fault plan is installed");
-    let s = &r.latency;
-    let ts = &r.timeout_latency;
-    let dropped_spans: u64 = run.cells.iter().map(|c| c.span_dropped).sum();
-    let truncated = dropped_spans > 0;
-    if truncated {
-        for c in &run.cells {
-            if c.span_dropped > 0 {
-                eprintln!(
-                    "warning: cell {} span log truncated ({} events dropped at \
-                     capacity {events}); audit skipped — raise --events",
-                    c.cell, c.span_dropped
-                );
-            }
-        }
+    let events = f.num("--events", 4_000_000usize)?;
+    if !f.has("--faults") {
+        return Err(Fail::Usage);
     }
-    let report = (!truncated).then(|| run.audit().expect("span tracing is enabled"));
+    let job = Job::load(&f, None, 5.0)?;
+    let faults_path = job.faults.as_ref().map_or("", |(_, p)| p.as_str());
+    let run = job.run(critpath(), Some(events))?;
+    let (r, duration_s, warmup_s, seed) =
+        (&run.result, job.duration_s, job.cfg.warmup_s, job.cfg.seed);
+    let fs = r.fault.as_ref().expect("fault plan is installed");
+    let (s, ts) = (&r.latency, &r.timeout_latency);
+    let dropped = dropped_spans(&run, events, "warning: audit skipped");
+    let report = (dropped == 0).then(|| run.audit().expect("span tracing is enabled"));
     let clean = report.as_ref().is_some_and(|rep| rep.is_clean());
-    let critpath = run
-        .result
+    let critpath = r
         .critpath
         .as_ref()
         .map(|p| p.report())
         .filter(|rep| rep.requests > 0);
 
-    if json {
-        let out = serde_json::json!({
-            "scenario": path.display().to_string(),
-            "faults": faults_path.display().to_string(),
-            "seed": seed,
-            "duration_s": duration_s,
-            "warmup_s": cfg.warmup_s,
-            "cells": run.cells.len(),
-            "generated": r.generated,
-            "completed": r.completed,
-            "outcomes": {
-                "dropped": f.dropped,
-                "shed": f.shed,
-                "timed_out": f.timed_out,
-                "degraded": f.degraded,
-            },
-            "resilience": {
-                "retried": f.retried,
-                "hedged": f.hedged,
-                "breaker_trips": f.breaker_trips,
-                "jobs_killed": f.jobs_killed,
-                "packets_dropped": f.packets_dropped,
-                "retransmits": f.retransmits,
-            },
-            "throughput_qps": r.achieved_qps,
-            "goodput_qps": r.goodput_qps,
-            "latency_s": {
-                "count": s.count, "mean": s.mean, "p50": s.p50,
-                "p95": s.p95, "p99": s.p99, "max": s.max,
-            },
-            "timeout_latency_s": { "count": ts.count, "p50": ts.p50, "p99": ts.p99 },
-            "timeline": serde_json::to_value(&f.timeline).expect("timeline serializes"),
-            "critpath": critpath.as_ref().map(|rep| rep.to_json()),
-            "audit": if truncated {
-                serde_json::json!({ "skipped": "span log truncated; raise --events" })
-            } else {
-                let rep = report.as_ref().expect("audited");
-                serde_json::json!({
-                    "clean": rep.is_clean(),
-                    "violations": rep.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
-                })
-            },
-        });
+    if f.has("--json") {
+        print_json(&with_cells(
+            json!({
+                "scenario": job.source,
+                "faults": faults_path,
+                "seed": seed,
+                "duration_s": duration_s,
+                "warmup_s": warmup_s,
+            }),
+            run.cells.len(),
+            json!({
+                "generated": r.generated,
+                "completed": r.completed,
+                "outcomes": {
+                    "dropped": fs.dropped,
+                    "shed": fs.shed,
+                    "timed_out": fs.timed_out,
+                    "degraded": fs.degraded,
+                },
+                "resilience": {
+                    "retried": fs.retried,
+                    "hedged": fs.hedged,
+                    "breaker_trips": fs.breaker_trips,
+                    "jobs_killed": fs.jobs_killed,
+                    "packets_dropped": fs.packets_dropped,
+                    "retransmits": fs.retransmits,
+                },
+                "throughput_qps": r.achieved_qps,
+                "goodput_qps": r.goodput_qps,
+                "latency_s": {
+                    "count": s.count, "mean": s.mean, "p50": s.p50,
+                    "p95": s.p95, "p99": s.p99, "max": s.max,
+                },
+                "timeout_latency_s": { "count": ts.count, "p50": ts.p50, "p99": ts.p99 },
+                "timeline": serde_json::to_value(&fs.timeline).expect("timeline serializes"),
+                "critpath": critpath.as_ref().map(|rep| rep.to_json()),
+                "audit": match &report {
+                    None => json!({ "skipped": "span log truncated; raise --events" }),
+                    Some(rep) => json!({
+                        "clean": rep.is_clean(),
+                        "violations": rep.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+                    }),
+                },
+            }),
+        ));
+        return Ok(clean);
+    }
+    println!(
+        "chaos report: {} + {faults_path} (seed {seed}, {duration_s}s simulated, warmup {warmup_s}s)",
+        job.source
+    );
+    println!();
+    println!("timeline:");
+    if fs.timeline.is_empty() {
+        println!("  (no fault windows fired)");
+    }
+    for entry in &fs.timeline {
+        println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
+    }
+    println!();
+    println!("outcomes:");
+    println!(
+        "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
+        r.generated, r.completed, fs.dropped, fs.shed, fs.timed_out
+    );
+    println!(
+        "  degraded responses {} (breaker sheds + quorum early-fires)",
+        fs.degraded
+    );
+    println!();
+    println!("resilience:");
+    println!(
+        "  retries {}  hedges {}  breaker trips {}",
+        fs.retried, fs.hedged, fs.breaker_trips
+    );
+    println!(
+        "  jobs killed {}  packets dropped {}  retransmits {}",
+        fs.jobs_killed, fs.packets_dropped, fs.retransmits
+    );
+    println!();
+    println!(
+        "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
+         p99 {:.3}ms ({} samples)",
+        s.mean * 1e3,
+        s.p50 * 1e3,
+        s.p95 * 1e3,
+        s.p99 * 1e3,
+        s.count
+    );
+    if ts.count > 0 {
         println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("report serializes")
+            "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
+            ts.p50 * 1e3,
+            ts.p99 * 1e3,
+            ts.count
         );
-    } else {
-        println!(
-            "chaos report: {} + {} (seed {}, {duration_s}s simulated, warmup {}s)",
-            path.display(),
-            faults_path.display(),
-            seed,
-            cfg.warmup_s
-        );
-        println!();
-        println!("timeline:");
-        if f.timeline.is_empty() {
-            println!("  (no fault windows fired)");
-        }
-        for entry in &f.timeline {
-            println!("  t={:>8.3}s  {}", entry.t_s, entry.what);
-        }
-        println!();
-        println!("outcomes:");
-        println!(
-            "  generated {}  completed {}  dropped {}  shed {}  timed out {}",
-            r.generated, r.completed, f.dropped, f.shed, f.timed_out
-        );
-        println!(
-            "  degraded responses {} (breaker sheds + quorum early-fires)",
-            f.degraded
-        );
-        println!();
-        println!("resilience:");
-        println!(
-            "  retries {}  hedges {}  breaker trips {}",
-            f.retried, f.hedged, f.breaker_trips
-        );
-        println!(
-            "  jobs killed {}  packets dropped {}  retransmits {}",
-            f.jobs_killed, f.packets_dropped, f.retransmits
-        );
-        println!();
-        println!(
-            "latency (within-deadline completions): mean {:.3}ms p50 {:.3}ms p95 {:.3}ms \
-             p99 {:.3}ms ({} samples)",
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3,
-            s.count
-        );
-        if ts.count > 0 {
-            println!(
-                "latency at timeout deadline: p50 {:.3}ms p99 {:.3}ms ({} requests)",
-                ts.p50 * 1e3,
-                ts.p99 * 1e3,
-                ts.count
-            );
-        }
-        println!(
-            "goodput: {:.0} req/s of {:.0} req/s achieved ({:.1}% full fidelity)",
-            r.goodput_qps,
-            r.achieved_qps,
-            100.0 * r.goodput_qps / r.achieved_qps.max(f64::EPSILON)
-        );
-        println!();
-        if let Some(rep) = &critpath {
-            print_tail_attribution(rep);
-        }
-        if truncated {
-            println!("audit: skipped ({dropped_spans} span events dropped; raise --events)");
-        } else {
-            let rep = report.as_ref().expect("audited");
-            if rep.is_clean() {
-                println!(
-                    "audit: clean — every request reached exactly one terminal state \
-                     ({} spans checked)",
-                    rep.spans_checked
-                );
-            } else {
-                println!("audit: {} violations", rep.violations.len());
-                for v in &rep.violations {
-                    println!("  {v}");
-                }
+    }
+    println!(
+        "goodput: {:.0} req/s of {:.0} req/s achieved ({:.1}% full fidelity)",
+        r.goodput_qps,
+        r.achieved_qps,
+        100.0 * r.goodput_qps / r.achieved_qps.max(f64::EPSILON)
+    );
+    println!();
+    if let Some(rep) = &critpath {
+        print_tail_attribution(rep);
+    }
+    match &report {
+        None => println!("audit: skipped ({dropped} span events dropped; raise --events)"),
+        Some(rep) if rep.is_clean() => println!(
+            "audit: clean — every request reached exactly one terminal state \
+             ({} spans checked)",
+            rep.spans_checked
+        ),
+        Some(rep) => {
+            println!("audit: {} violations", rep.violations.len());
+            for v in &rep.violations {
+                println!("  {v}");
             }
         }
     }
@@ -1498,48 +790,35 @@ fn print_tail_attribution(rep: &uqsim_core::CpcReport) {
 /// `uqsim why`: critical-path extraction and tail-latency attribution.
 ///
 /// Runs the scenario (optionally faulted) with both streaming critical-path
-/// accumulation and full span tracing, cross-checks the streaming profile
-/// against an independent replay of the recorded trace, audits the trace,
-/// and prints the cohort/differential attribution report. Fails (non-zero
-/// exit) when the span log truncated — a truncated stream would silently
-/// under-attribute — when the audit finds violations, or when streaming and
-/// replayed attribution disagree.
-#[allow(clippy::too_many_arguments)]
-fn why(
-    path: &Path,
-    faults: Option<&Path>,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    events: usize,
-    out: Option<&Path>,
-) -> Result<bool, uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    let mut sim = cfg.build()?;
-    if let Some(faults) = faults {
-        let plan = uqsim_core::FaultPlan::from_file(faults)?;
-        sim.install_faults(&plan)?;
-    }
-    sim.enable_span_tracing(events);
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-
-    let log = sim.span_log().expect("span tracing is enabled");
-    if log.dropped() > 0 {
-        eprintln!(
-            "error: span log truncated ({} events dropped at capacity {events}); \
-             attribution would be incomplete — raise --events",
-            log.dropped()
-        );
+/// accumulation and full span tracing, cross-checks every cell's streaming
+/// profile against an independent replay of its recorded trace, audits the
+/// trace, and prints the cohort/differential attribution report of the
+/// merged profile. Fails (non-zero exit) when a span log truncated — a
+/// truncated stream would silently under-attribute — when the audit finds
+/// violations, or when streaming and replayed attribution disagree.
+fn why_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--gen=",
+            "--config=",
+            "--faults=",
+            "--duration=",
+            "--seed=",
+            "--json",
+            "--events=",
+            "--shards=",
+            "--out=",
+        ],
+        false,
+    )?;
+    let events = f.num("--events", 4_000_000usize)?;
+    let job = Job::load(&f, Some("--config"), 5.0)?;
+    let run = job.run(critpath(), Some(events))?;
+    if dropped_spans(&run, events, "error: attribution would be incomplete") > 0 {
         return Ok(false);
     }
-    let audit = sim.audit_trace().expect("span tracing is enabled");
+    let audit = run.audit().expect("span tracing is enabled");
     if !audit.is_clean() {
         eprintln!(
             "error: trace audit found {} violation(s); refusing to attribute",
@@ -1550,88 +829,41 @@ fn why(
         }
         return Ok(false);
     }
-    let streaming = sim
-        .critpath_profile()
-        .expect("critpath telemetry is enabled");
-    let replayed = match uqsim_core::CpcProfile::from_trace(log, &sim.trace_meta()) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return Ok(false);
+    for c in &run.cells {
+        let (Some(log), Some(meta)) = (&c.span_log, &c.trace_meta) else {
+            unreachable!("span tracing is enabled");
+        };
+        match uqsim_core::CpcProfile::from_trace(log, meta) {
+            Ok(replayed) if Some(&replayed) == c.result.critpath.as_ref() => {}
+            Ok(_) => {
+                eprintln!(
+                    "error: streaming and trace-replayed attribution disagree in cell {}; \
+                     this is an engine bug — please report it",
+                    c.cell
+                );
+                return Ok(false);
+            }
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                return Ok(false);
+            }
         }
-    };
-    if replayed != streaming {
-        eprintln!(
-            "error: streaming and trace-replayed attribution disagree; \
-             this is an engine bug — please report it"
-        );
-        return Ok(false);
     }
     eprintln!(
         "why: {} span events replayed, {} spans audited, streaming == replay",
-        log.len(),
+        span_events(&run),
         audit.spans_checked
-    );
-    emit_why(
-        path,
-        faults,
-        cfg.seed,
-        duration_s,
-        cfg.warmup_s,
-        json,
-        &streaming,
-        out,
-    )?;
-    Ok(true)
-}
-
-/// `why --shards N`: the partitioned attribution runner. Each cell streams
-/// its own bounded-memory profile; the merged profile — and therefore
-/// every rendered output — is byte-identical at any `--shards` value
-/// (cell decomposition depends on the scenario, not the worker count).
-#[allow(clippy::too_many_arguments)]
-fn why_sharded(
-    path: &Path,
-    faults: Option<&Path>,
-    duration_s: f64,
-    seed: Option<u64>,
-    json: bool,
-    shards: usize,
-    out: Option<&Path>,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let seed = seed.unwrap_or(cfg.seed);
-    let plan = match faults {
-        Some(p) => Some(uqsim_core::FaultPlan::from_file(p)?),
-        None => None,
-    };
-    let opts = uqsim_core::PartitionOptions::with_shards(shards);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        plan.as_ref(),
-        seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
-    )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
     );
     let profile = run
         .result
         .critpath
         .as_ref()
-        .expect("partitioned runs stream critpath profiles");
+        .expect("critpath telemetry is enabled");
     emit_why(
-        path,
-        faults,
-        seed,
-        duration_s,
-        cfg.warmup_s,
-        json,
+        &job,
+        f.has("--json"),
         profile,
-        out,
+        f.get("--out").map(Path::new),
     )?;
     Ok(true)
 }
@@ -1642,44 +874,30 @@ fn why_sharded(
 /// `critpath.folded` (flame-graph folded stacks), and `critpath.prom`
 /// (Prometheus `uqsim_critpath_*` exposition). All renderings are
 /// deterministic functions of the profile.
-#[allow(clippy::too_many_arguments)]
 fn emit_why(
-    path: &Path,
-    faults: Option<&Path>,
-    seed: u64,
-    duration_s: f64,
-    warmup_s: f64,
+    job: &Job,
     json: bool,
     profile: &uqsim_core::CpcProfile,
     out: Option<&Path>,
-) -> Result<(), uqsim_core::SimError> {
+) -> Result<(), SimError> {
+    let faults = job.faults.as_ref().map(|(_, p)| p.as_str());
+    let (seed, duration_s, warmup_s) = (job.cfg.seed, job.duration_s, job.cfg.warmup_s);
     let report = profile.report();
     if json {
         let mut doc = report.to_json();
-        if let serde_json::Value::Object(obj) = &mut doc {
-            obj.insert(
-                "scenario".to_string(),
-                serde_json::json!(path.display().to_string()),
-            );
-            obj.insert(
-                "faults".to_string(),
-                serde_json::json!(faults.map(|f| f.display().to_string())),
-            );
-            obj.insert("seed".to_string(), serde_json::json!(seed));
-            obj.insert("duration_s".to_string(), serde_json::json!(duration_s));
-            obj.insert("warmup_s".to_string(), serde_json::json!(warmup_s));
+        if let Value::Object(obj) = &mut doc {
+            obj.insert("scenario", json!(job.source));
+            obj.insert("faults", json!(faults));
+            obj.insert("seed", json!(seed));
+            obj.insert("duration_s", json!(duration_s));
+            obj.insert("warmup_s", json!(warmup_s));
         }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("report serializes")
-        );
+        print_json(&doc);
     } else {
         println!(
             "why: {}{} (seed {seed}, {duration_s}s simulated, warmup {warmup_s}s)",
-            path.display(),
-            faults
-                .map(|f| format!(" + {}", f.display()))
-                .unwrap_or_default()
+            job.source,
+            faults.map(|f| format!(" + {f}")).unwrap_or_default()
         );
         println!();
         print!("{}", report.to_text());
@@ -1706,22 +924,31 @@ fn emit_why(
     Ok(())
 }
 
+/// `uqsim top`: the live terminal view (see [`top`]).
+fn top_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--config=",
+            "--duration=",
+            "--interval=",
+            "--seed=",
+            "--no-ansi",
+        ],
+        false,
+    )?;
+    let interval = f.positive("--interval", 1.0)?;
+    let job = Job::load(&f, Some("--config"), 10.0)?;
+    top(&job.cfg, job.duration_s, interval, !f.has("--no-ansi"))?;
+    Ok(true)
+}
+
 /// `top(1)` for the simulated cluster: steps the simulation one sampler
 /// interval at a time and redraws per-instance utilization, queue depth,
 /// and thread occupancy plus the latest windowed latency percentiles.
 /// With ANSI enabled each frame overdraws the previous one; `--no-ansi`
 /// appends frames instead (useful for piping to a file).
-fn top(
-    path: &Path,
-    duration_s: f64,
-    interval_s: f64,
-    seed: Option<u64>,
-    ansi: bool,
-) -> Result<(), uqsim_core::SimError> {
-    let mut cfg = load(path)?;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
+fn top(cfg: &ScenarioConfig, duration_s: f64, interval_s: f64, ansi: bool) -> Result<(), SimError> {
     let mut sim = cfg.build()?;
     let interval = SimDuration::from_secs_f64(interval_s);
     sim.enable_telemetry(TelemetryConfig {
@@ -1836,176 +1063,58 @@ fn print_top_frame(sim: &uqsim_core::sim::Simulator, interval_s: f64) {
     }
 }
 
-/// The parallel grid sweep: `Q` QPS points × `K` seed replications fanned
-/// across the [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
+/// `uqsim sweep`: `Q` QPS points × `K` seed replications fanned across
+/// the [`uqsim_runner`] pool, aggregated into a CSV/JSON table with
 /// across-replication 95% confidence intervals. Progress goes to stderr;
-/// the table goes to stdout (or `--out`), and its bytes do not depend on
-/// `--jobs`.
-fn sweep_grid(args: &[String]) -> ExitCode {
-    let mut config = None;
-    let mut gen_spec: Option<String> = None;
-    let mut qps_spec = None;
-    let mut reps = 3usize;
-    let mut jobs = uqsim_runner::available_jobs();
-    let mut duration = 5.0f64;
-    let mut seed = None;
-    let mut json = false;
-    let mut out = None;
-    let mut faults = None;
-    let mut shards = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                if v == 0 {
-                    return usage();
-                }
-                shards = v;
-                i += 2;
-            }
-            "--faults" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                faults = Some(std::path::PathBuf::from(v));
-                i += 2;
-            }
-            "--config" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                config = Some(v.clone());
-                i += 2;
-            }
-            "--gen" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                gen_spec = Some(v.clone());
-                i += 2;
-            }
-            "--qps" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                qps_spec = Some(v.clone());
-                i += 2;
-            }
-            "--reps" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                reps = v;
-                i += 2;
-            }
-            "--jobs" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                jobs = v;
-                i += 2;
-            }
-            "--duration" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                duration = v;
-                i += 2;
-            }
-            "--seed" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                seed = Some(v);
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--out" => {
-                let Some(v) = args.get(i + 1) else {
-                    return usage();
-                };
-                out = Some(v.clone());
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
-    let Some(qps_spec) = qps_spec else {
-        return usage();
-    };
-    let config = match (config, gen_spec) {
-        (Some(c), None) => std::path::PathBuf::from(c),
-        (None, Some(spec)) => match materialize_gen(Path::new(&spec), seed) {
-            Ok(dir) => dir,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => return usage(),
-    };
-    let qps = match uqsim_runner::sweep::parse_qps_spec(&qps_spec) {
-        Ok(qps) => qps,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match load(Path::new(&config)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match faults.map(|p| uqsim_core::FaultPlan::from_file(&p)) {
-        None => None,
-        Some(Ok(plan)) => Some(plan),
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// the table goes to stdout (or `--out`), and its bytes depend on neither
+/// `--jobs` nor `--shards`.
+fn sweep_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--shards=",
+            "--faults=",
+            "--config=",
+            "--gen=",
+            "--qps=",
+            "--reps=",
+            "--jobs=",
+            "--duration=",
+            "--seed=",
+            "--json",
+            "--out=",
+        ],
+        false,
+    )?;
+    let qps = f.get("--qps").ok_or(Fail::Usage)?;
+    let reps = f.num("--reps", 3usize)?;
+    let jobs = f.num("--jobs", uqsim_runner::available_jobs())?;
+    let qps = uqsim_runner::sweep::parse_qps_spec(qps).map_err(Fail::Input)?;
+    let job = Job::load(&f, Some("--config"), 5.0)?;
     let spec = uqsim_runner::sweep::SweepSpec {
         qps,
         reps: reps.max(1),
-        base_seed: seed.unwrap_or(cfg.seed),
-        duration: SimDuration::from_secs_f64(duration),
+        base_seed: job.cfg.seed,
+        duration: SimDuration::from_secs_f64(job.duration_s),
         jobs: jobs.max(1),
-        faults: plan,
-        shards,
+        faults: job.faults.map(|(plan, _)| plan),
+        shards: job.shards,
     };
     eprintln!(
-        "sweep: {} qps points x {} reps = {} cells on {} worker(s){}",
+        "sweep: {} qps points x {} reps = {} cells on {} worker(s), {} shard(s) per cell",
         spec.qps.len(),
         spec.reps,
         spec.qps.len() * spec.reps,
         spec.jobs,
-        if spec.shards >= 1 {
-            format!(", partitioned engine at {} shard(s) per cell", spec.shards)
-        } else {
-            String::new()
-        }
+        spec.shards
     );
-    let table = match uqsim_runner::sweep::run_scenario_sweep(&cfg, &spec, &|p| {
+    let table = uqsim_runner::sweep::run_scenario_sweep(&job.cfg, &spec, &|p| {
         eprintln!(
             "  [{}/{}] qps={:.0} seed={}",
             p.finished, p.total, p.offered_qps, p.seed
         );
-    }) {
-        Ok(table) => table,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut text = if json {
+    })?;
+    let mut text = if f.has("--json") {
         table.to_json()
     } else {
         table.to_csv()
@@ -2013,140 +1122,49 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     if !text.ends_with('\n') {
         text.push('\n');
     }
-    match out {
+    match f.get("--out") {
         Some(file) => {
-            if let Err(e) = std::fs::write(&file, &text) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(file, &text)?;
             eprintln!("wrote {file}");
         }
         None => print!("{text}"),
     }
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
-/// Runs the scenario once per offered load, scaling every client's rate
-/// schedule so the configured rates act as a load *shape*.
-fn sweep(path: &Path, loads: &[f64], duration_s: f64) -> Result<(), uqsim_core::SimError> {
-    let base = load(path)?;
-    println!(
-        "{:>12} {:>13} {:>9} {:>9} {:>9} {:>9}",
-        "offered_qps", "achieved_qps", "mean_ms", "p50_ms", "p95_ms", "p99_ms"
-    );
-    for &qps in loads {
-        // `with_offered_qps` scales every client kind uniformly (schedules
-        // pinned, MMPP/session rates rescaled, traces left as-is).
-        let cfg = base.with_offered_qps(qps);
-        let mut sim = cfg.build()?;
-        sim.run_for(SimDuration::from_secs_f64(duration_s));
-        let s = sim.latency_summary();
-        let achieved = s.count as f64 / (duration_s - cfg.warmup_s).max(f64::EPSILON);
-        println!(
-            "{:>12.0} {:>13.0} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            qps,
-            achieved,
-            s.mean * 1e3,
-            s.p50 * 1e3,
-            s.p95 * 1e3,
-            s.p99 * 1e3
-        );
-    }
-    Ok(())
-}
-
-/// Runs the scenario with span tracing enabled, writes a Chrome
-/// `trace_event` JSON file (viewable in `about:tracing` or Perfetto), and
-/// audits the trace against the simulator's invariants. Returns whether the
-/// audit came back clean.
-fn chrome_export(
-    path: &Path,
-    duration_s: f64,
-    out: Option<&str>,
-    events: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut sim = cfg.build()?;
-    sim.enable_span_tracing(events);
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-    let chrome = sim.chrome_trace().expect("span tracing is enabled");
-    let text = serde_json::to_string_pretty(&chrome).expect("trace serializes");
-    match out {
-        Some(file) => {
-            std::fs::write(file, text)?;
-            eprintln!("wrote {file}");
-        }
-        None => println!("{text}"),
-    }
-    let log = sim.span_log().expect("span tracing is enabled");
-    let report = sim.audit_trace().expect("span tracing is enabled");
-    eprintln!(
-        "trace: {} events ({} dropped), {} spans audited, {} completed requests",
-        log.len(),
-        log.dropped(),
-        report.spans_checked,
-        sim.completed()
-    );
-    if report.is_clean() {
-        eprintln!("audit: clean");
-    } else {
-        eprintln!("audit: {} violations", report.violations.len());
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-    }
-    if log.dropped() > 0 {
-        eprintln!(
-            "error: span log truncated ({} events dropped at capacity {events}); \
-             the trace is incomplete — raise --events",
-            log.dropped()
-        );
-        return Ok(false);
-    }
-    Ok(report.is_clean())
-}
-
-/// `trace --config --shards N`: partitioned Chrome export. Per-cell
-/// traces merge with disjoint pid ranges and `c<i>:`-prefixed scope ids;
-/// the written JSON and the audit verdict are byte-identical at any
-/// `--shards` value.
-fn chrome_export_sharded(
-    path: &Path,
-    duration_s: f64,
-    out: Option<&str>,
-    events: usize,
-    shards: usize,
-) -> Result<bool, uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut opts = uqsim_core::PartitionOptions::with_shards(shards);
-    opts.span_tracing = Some(events);
-    let run = uqsim_core::run_partitioned(
-        &cfg,
-        None,
-        cfg.seed,
-        SimDuration::from_secs_f64(duration_s),
-        &opts,
+/// `uqsim trace`: runs the scenario with span tracing enabled, writes a
+/// Chrome `trace_event` JSON file (viewable in `about:tracing` or
+/// Perfetto), and audits the trace against the simulator's invariants.
+/// Succeeds when the audit is clean and no span log truncated.
+fn trace_cmd(args: &[String]) -> Outcome {
+    let f = Flags::parse(
+        args,
+        &[
+            "--config=",
+            "--out=",
+            "--duration=",
+            "--events=",
+            "--shards=",
+        ],
+        false,
     )?;
-    eprintln!(
-        "partition: {} cell(s) on {} shard(s)",
-        run.cells.len(),
-        run.shards
-    );
+    let events = f.num("--events", 1_000_000usize)?;
+    let job = Job::load(&f, Some("--config"), 2.0)?;
+    let run = job.run(TelemetryConfig::default(), Some(events))?;
     let chrome = run.chrome_trace().expect("span tracing is enabled");
     let text = serde_json::to_string_pretty(&chrome).expect("trace serializes");
-    match out {
+    match f.get("--out") {
         Some(file) => {
             std::fs::write(file, text)?;
             eprintln!("wrote {file}");
         }
         None => println!("{text}"),
     }
-    let dropped: u64 = run.cells.iter().map(|c| c.span_dropped).sum();
     let report = run.audit().expect("span tracing is enabled");
+    let dropped: u64 = run.cells.iter().map(CellOutput::span_dropped).sum();
     eprintln!(
-        "trace: {} events ({} dropped), {} spans audited, {} completed requests",
-        chrome["traceEvents"].as_array().map_or(0, Vec::len),
-        dropped,
+        "trace: {} events ({dropped} dropped), {} spans audited, {} completed requests",
+        span_events(&run),
         report.spans_checked,
         run.result.completed
     );
@@ -2158,37 +1176,10 @@ fn chrome_export_sharded(
             eprintln!("  {v}");
         }
     }
-    if dropped > 0 {
-        for c in &run.cells {
-            if c.span_dropped > 0 {
-                eprintln!(
-                    "error: cell {} span log truncated ({} events dropped at \
-                     capacity {events}); the trace is incomplete — raise --events",
-                    c.cell, c.span_dropped
-                );
-            }
-        }
+    if dropped_spans(&run, events, "error: the trace is incomplete") > 0 {
         return Ok(false);
     }
     Ok(report.is_clean())
-}
-
-/// Runs the scenario with tracing enabled and prints sampled request
-/// traces as JSON lines.
-fn trace(path: &Path, duration_s: f64, every: u64, max: usize) -> Result<(), uqsim_core::SimError> {
-    let cfg = load(path)?;
-    let mut sim = cfg.build()?;
-    sim.enable_tracing(every.max(1), max);
-    sim.run_for(SimDuration::from_secs_f64(duration_s));
-    for t in sim.traces() {
-        println!("{}", serde_json::to_string(t).expect("trace serializes"));
-    }
-    eprintln!(
-        "{} traces over {} completed requests",
-        sim.traces().len(),
-        sim.completed()
-    );
-    Ok(())
 }
 
 #[cfg(test)]

@@ -66,7 +66,6 @@ fn generated_cluster_runs_audit_clean_and_shard_invariant() {
         shards,
         telemetry: TelemetryConfig::default(),
         span_tracing: Some(1 << 16),
-        sync_windows: 8,
     };
     let d = SimDuration::from_millis(350);
     let one = run_partitioned(&cfg, None, 11, d, &opts(1)).unwrap();

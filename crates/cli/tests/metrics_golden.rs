@@ -93,24 +93,45 @@ fn quickstart_metrics_csv_matches_golden() {
 }
 
 /// The partitioned merge of a single-cell run must be the byte-identity:
-/// the two merge paths (single-run vs partitioned) may only diverge when
-/// there is more than one windowed summary to keep apart.
+/// the run summary, CSV (which must equal the golden-pinned export), JSON
+/// dump, Chrome trace, and audit of the one cell are passed through
+/// unchanged and equal a single simulator's.
 #[test]
 fn single_cell_partitioned_csv_is_passthrough() {
     let cfg = ScenarioConfig::from_json(QUICKSTART).expect("bundled config parses");
     let mut opts = uqsim_core::PartitionOptions::with_shards(1);
     opts.telemetry.sample_interval = Some(SimDuration::from_millis(10));
-    let run =
-        uqsim_core::run_partitioned(&cfg, None, cfg.seed, SimDuration::from_millis(1500), &opts)
-            .expect("partitioned run succeeds");
+    opts.span_tracing = Some(1 << 20);
+    let d = SimDuration::from_millis(1500);
+    let run = uqsim_core::run_partitioned(&cfg, None, cfg.seed, d, &opts)
+        .expect("partitioned run succeeds");
     assert_eq!(
         run.cells.len(),
         1,
         "quickstart is a single request-closed cell"
     );
+    let cell = &run.cells[0];
+    let csv = run.csv().expect("sampler on");
     assert_eq!(
-        run.csv().expect("sampler on"),
-        run.cells[0].csv.clone().expect("sampler on"),
+        Some(&csv),
+        cell.csv.as_ref(),
         "single-cell merge_csv is not a pass-through"
     );
+    assert_eq!(
+        csv,
+        quickstart_csv(),
+        "partitioned CSV != unpartitioned CSV"
+    );
+    assert_eq!(run.result, cell.result);
+    assert_eq!(run.json(), cell.json);
+    assert_eq!(run.audit(), cell.audit);
+
+    let mut sim = cfg.build().expect("bundled config builds");
+    sim.enable_telemetry(opts.telemetry);
+    sim.enable_span_tracing(1 << 20);
+    sim.run_for(d);
+    assert_eq!(run.json(), sim.metrics_json());
+    assert_eq!(run.chrome_trace(), sim.chrome_trace());
+    assert_eq!(run.audit(), sim.audit_trace());
+    assert!(run.audit().is_some_and(|a| a.is_clean()));
 }

@@ -790,7 +790,7 @@ mod tests {
     fn utilization_matches_rho() {
         let mut sim = echo_scenario(5_000.0, 100e-6, 17);
         sim.run_for(SimDuration::from_secs(10));
-        let u = sim.instance_utilization(InstanceId::from_raw(0));
+        let u = sim.instance_utilization_since(InstanceId::from_raw(0), SimTime::ZERO);
         assert!((u - 0.5).abs() < 0.05, "utilization {u}");
     }
 

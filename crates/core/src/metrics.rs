@@ -159,6 +159,11 @@ impl LatencyRecorder {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+
+    /// Moves the retained samples out, leaving the recorder empty.
+    pub(crate) fn take_samples(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.samples)
+    }
 }
 
 /// One completed window of a [`WindowedRecorder`].

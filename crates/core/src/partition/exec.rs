@@ -1,12 +1,12 @@
-//! The partitioned execution engine: cells on shards, synced and merged.
+//! The partitioned execution engine: cells on shards, merged.
 //!
-//! Spec: DESIGN.md §11.1 ("Execution"). [`run_partitioned`] is the
-//! partitioned sibling of [`run_one_faulted`](crate::run::run_one_faulted):
-//! it splits the scenario into cells, assigns them to shards, drives every
-//! cell through the same K-independent schedule of conservative sync
-//! windows, and merges the per-cell outputs deterministically. The shard
-//! count (and the worker scheduling under it) affects wall-clock time
-//! only — never a single output byte.
+//! Spec: DESIGN.md §11.1 ("Execution"). [`run_partitioned`] is the one
+//! way every command runs a scenario: it splits the scenario into cells,
+//! assigns them to shards, runs every cell through the same run sequence
+//! as [`run_one_faulted`](crate::run::run_one_faulted), and merges the
+//! per-cell outputs deterministically. The shard count (and the worker
+//! scheduling under it) affects wall-clock time only — never a single
+//! output byte.
 
 use std::collections::HashSet;
 
@@ -16,12 +16,11 @@ use serde::Value;
 use crate::config::ScenarioConfig;
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultSpec};
-use crate::run::RunResult;
+use crate::run::{simulate, RunResult};
 use crate::telemetry::{MetricsRegistry, StreamingHistogram, TelemetryConfig};
-use crate::time::{SimDuration, SimTime};
-use crate::trace::{chrome_trace, AuditReport};
+use crate::time::SimDuration;
+use crate::trace::{AuditReport, TraceLog, TraceMeta};
 
-use super::clock::ShardClocks;
 use super::graph::split_fault_plan;
 use super::merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_json, merge_registries, merge_results,
@@ -29,40 +28,33 @@ use super::merge::{
 use super::plan::{cell_seed, PartitionPlan};
 
 /// Knobs for a partitioned run. Only [`PartitionOptions::shards`] affects
-/// scheduling; everything else configures what each cell records, and is
+/// scheduling; everything else selects what each cell records, and is
 /// applied identically to every cell.
 #[derive(Debug, Clone)]
 pub struct PartitionOptions {
     /// Worker shards to spread cells over (`0` is treated as `1`).
     pub shards: usize,
-    /// Telemetry configuration installed on every cell.
-    /// [`TelemetryConfig::self_profile`] is forcibly disabled — wall-clock
+    /// Telemetry installed on every cell. Left at
+    /// [`TelemetryConfig::default()`], no telemetry layer is installed at
+    /// all (the run summary needs none); setting any field — the sampler
+    /// interval, [`TelemetryConfig::critpath`], … — installs it.
+    /// [`TelemetryConfig::self_profile`] is forcibly disabled: wall-clock
     /// samples are inherently nondeterministic and would break the
     /// byte-identical-output guarantee.
     pub telemetry: TelemetryConfig,
     /// Span-log capacity per cell; `Some` enables span tracing (and with
     /// it the merged Chrome trace and audit report).
     pub span_tracing: Option<usize>,
-    /// Conservative sync windows per run (`0` is treated as `1`). The
-    /// window schedule depends on the run duration and this count only —
-    /// never on the shard count — so chunked advancement preserves
-    /// K-invariance (spec invariant **P4**).
-    pub sync_windows: usize,
 }
 
 impl PartitionOptions {
-    /// Options for a plain `shards`-way run: default (decomposition-only)
-    /// telemetry plus the streaming critical-path profile, no span tracing,
-    /// 8 sync windows.
+    /// Options for a plain `shards`-way run that records the run summary
+    /// only: no telemetry, no span tracing.
     pub fn with_shards(shards: usize) -> Self {
         PartitionOptions {
             shards: shards.max(1),
-            telemetry: TelemetryConfig {
-                critpath: true,
-                ..TelemetryConfig::default()
-            },
+            telemetry: TelemetryConfig::default(),
             span_tracing: None,
-            sync_windows: 8,
         }
     }
 }
@@ -74,7 +66,8 @@ impl Default for PartitionOptions {
 }
 
 /// Everything one cell produced: its run summary plus the raw material
-/// (samples, histograms, registry, exports) the `merge` layer needs to reassemble cluster-level outputs losslessly.
+/// (samples, histograms, registry, exports) the `merge` layer needs to
+/// reassemble cluster-level outputs losslessly.
 #[derive(Debug, Clone)]
 pub struct CellOutput {
     /// Cell index (position in [`PartitionPlan::cells`]).
@@ -88,7 +81,8 @@ pub struct CellOutput {
     pub instances: usize,
     /// Machines with irq cores (weights the network-utilization merge).
     pub irq_machines: usize,
-    /// The cell's run summary, under its derived [`cell_seed`].
+    /// The cell's run summary: under the master seed when the plan has
+    /// one cell, under its derived [`cell_seed`] otherwise.
     pub result: RunResult,
     /// Degraded completions inside the measurement window (the goodput
     /// subtrahend; re-aggregated by [`merge_results`]).
@@ -109,14 +103,23 @@ pub struct CellOutput {
     pub csv: Option<String>,
     /// The cell's full `metrics_json` dump.
     pub json: Value,
-    /// The cell's Chrome trace (when span tracing is enabled).
-    pub chrome: Option<Value>,
+    /// The cell's span log (when span tracing is enabled). A nonzero
+    /// [`TraceLog::dropped`] means the audit and Chrome trace are
+    /// incomplete — raise the per-cell capacity.
+    pub span_log: Option<TraceLog>,
+    /// Entity names for rendering the span log (when span tracing is
+    /// enabled).
+    pub trace_meta: Option<TraceMeta>,
     /// The cell's audit report (when span tracing is enabled).
     pub audit: Option<AuditReport>,
+}
+
+impl CellOutput {
     /// Span events this cell dropped because its log filled up (`0` when
-    /// tracing is off). A nonzero value means the audit and Chrome trace
-    /// are incomplete — raise the per-cell capacity.
-    pub span_dropped: u64,
+    /// tracing is off).
+    pub fn span_dropped(&self) -> u64 {
+        self.span_log.as_ref().map_or(0, TraceLog::dropped)
+    }
 }
 
 /// A completed partitioned run: the merged cluster-level summary plus the
@@ -145,7 +148,8 @@ impl PartitionedRun {
         merge_csv(&self.cells)
     }
 
-    /// The merged JSON metrics dump (cluster header + per-cell dumps).
+    /// The merged JSON metrics dump (the cell's own dump for a one-cell
+    /// run; a cluster header plus per-cell dumps otherwise).
     pub fn json(&self) -> Value {
         merge_json(&self.result, &self.cells)
     }
@@ -198,11 +202,10 @@ fn validate_fault_plan(cfg: &ScenarioConfig, plan: &FaultPlan) -> SimResult<()> 
     Ok(())
 }
 
-/// Builds, syncs, and summarizes one cell (see [`run_partitioned`]).
-#[allow(clippy::too_many_arguments)]
+/// Runs one cell through the shared run sequence and collects what the
+/// merges need (see [`run_partitioned`]).
 fn run_cell(
     plan: &PartitionPlan,
-    clocks: &ShardClocks,
     cell: usize,
     shard: usize,
     faults: Option<&FaultPlan>,
@@ -211,68 +214,50 @@ fn run_cell(
     opts: &PartitionOptions,
 ) -> SimResult<CellOutput> {
     let spec = &plan.cells[cell];
-    let sub = spec.config.with_seed(cell_seed(master_seed, cell as u64));
-    let mut sim = sub.build()?;
-    if let Some(p) = faults {
-        // Install even when the filtered slice is empty: the presence of a
-        // plan changes which metric families the registry emits, and every
-        // cell must stay structurally congruent for the merge.
-        sim.install_faults(&split_fault_plan(p, spec))?;
-    }
-    let mut tcfg = opts.telemetry;
-    tcfg.self_profile = false;
-    sim.enable_telemetry(tcfg);
-    if let Some(cap) = opts.span_tracing {
-        sim.enable_span_tracing(cap);
-    }
-
-    // Advance through the K-independent window schedule, waiting at each
-    // boundary until every in-neighbor's published clock guarantees no
-    // remote event can still land inside the window (inert today — closed
-    // cells have no in-neighbors, so horizons are infinite).
-    let windows = opts.sync_windows.max(1) as u128;
-    let total = duration.as_nanos() as u128;
-    for j in 1..windows {
-        let boundary = SimTime::from_nanos((total * j / windows) as u64);
-        while clocks.horizon(cell, &plan.lookahead) < boundary {
-            std::thread::yield_now();
-        }
-        sim.run_until_paused(boundary);
-        clocks.publish(cell, boundary);
-    }
-    let deadline = SimTime::ZERO + duration;
-    while clocks.horizon(cell, &plan.lookahead) < deadline {
-        std::thread::yield_now();
-    }
-    sim.run_until(deadline);
-    clocks.publish(cell, deadline);
-
-    let result = crate::run::summarize(&sim, sub.seed, duration, sub.warmup_s);
-    let span_dropped = sim.span_log().map_or(0, |log| log.dropped());
-    let chrome = sim
-        .span_log()
-        .map(|log| chrome_trace(log, &sim.trace_meta()));
+    // A one-cell plan *is* the scenario: it keeps the master seed, so its
+    // outputs equal an unpartitioned run's byte for byte.
+    let seed = if plan.cells.len() == 1 {
+        master_seed
+    } else {
+        cell_seed(master_seed, cell as u64)
+    };
+    let cfg = spec.config.with_seed(seed);
+    // Install the plan even when the filtered slice is empty: its presence
+    // changes which metric families the registry emits, and every cell
+    // must stay structurally congruent for the merge.
+    let cell_faults = faults.map(|p| split_fault_plan(p, spec));
+    let mut telemetry = opts.telemetry;
+    telemetry.self_profile = false;
+    let telemetry = (telemetry != TelemetryConfig::default()).then_some(telemetry);
+    let (mut sim, result) = simulate(
+        &cfg,
+        cell_faults.as_ref(),
+        duration,
+        telemetry,
+        opts.span_tracing,
+    )?;
     Ok(CellOutput {
         cell,
         shard,
-        machines: sub.machines.len(),
-        instances: sub.instances.len(),
-        irq_machines: sub
+        machines: cfg.machines.len(),
+        instances: cfg.instances.len(),
+        irq_machines: cfg
             .machines
             .iter()
             .filter(|m| m.network.irq_cores > 0)
             .count(),
         degraded_measured: sim.degraded_measured(),
-        latency_samples: sim.latency_samples().to_vec(),
-        timeout_samples: sim.timeout_latency_samples().to_vec(),
         registry: sim.metrics_registry(),
         e2e_hist: sim.e2e_latency_histogram().cloned(),
         comp_hists: sim.component_latency_histograms().map(<[_]>::to_vec),
         csv: sim.metrics_csv(),
         json: sim.metrics_json(),
         audit: sim.audit_trace(),
-        chrome,
-        span_dropped,
+        trace_meta: sim.span_log().map(|_| sim.trace_meta()),
+        // Moved out last: the exports above still read them.
+        span_log: sim.take_span_log(),
+        latency_samples: sim.e2e.take_samples(),
+        timeout_samples: sim.e2e_timeout.take_samples(),
         result,
     })
 }
@@ -281,18 +266,17 @@ fn run_cell(
 /// the per-cell outputs into cluster-level results.
 ///
 /// The scenario is split into request-closed cells
-/// ([`split_cells`](crate::partition::split_cells)), each cell runs as an independent simulator under
-/// its [`cell_seed`], shards execute cells in parallel, and every output —
-/// run summary, Prometheus text, CSV, JSON, Chrome trace, audit, chaos
-/// summary — is merged in cell order. **The merged outputs are
-/// byte-identical at any `shards` value**, faulted or not; see the module
-/// docs and DESIGN.md §11 for the argument.
+/// ([`split_cells`](crate::partition::split_cells)), each cell runs as an
+/// independent simulator under its [`cell_seed`], shards execute cells in
+/// parallel, and every output — run summary, Prometheus text, CSV, JSON,
+/// Chrome trace, audit, chaos summary — is merged in cell order. **The
+/// merged outputs are byte-identical at any `shards` value**, faulted or
+/// not; see the module docs and DESIGN.md §11 for the argument.
 ///
-/// Relative to the unsharded
-/// [`run_one_faulted`](crate::run::run_one_faulted), per-cell RNG streams differ from the
-/// single global stream, so partitioned results are statistically
-/// equivalent but not bitwise equal to unsharded results — compare
-/// partitioned runs against partitioned runs.
+/// A scenario that forms a single cell runs under the master seed and its
+/// merge is the identity, so its outputs equal
+/// [`run_one_faulted`](crate::run::run_one_faulted)'s (with the same
+/// observers) byte for byte.
 ///
 /// # Errors
 ///
@@ -334,9 +318,7 @@ pub fn run_partitioned(
         validate_fault_plan(cfg, plan)?;
     }
     let plan = PartitionPlan::new(cfg, opts.shards)?;
-    let clocks = ShardClocks::new(plan.cells.len());
     let plan_ref = &plan;
-    let clocks_ref = &clocks;
     let tasks: Vec<_> = (0..plan.shards)
         .map(|s| {
             move || -> Vec<(usize, SimResult<CellOutput>)> {
@@ -346,7 +328,7 @@ pub fn run_partitioned(
                     .map(|cell| {
                         (
                             cell,
-                            run_cell(plan_ref, clocks_ref, cell, s, faults, seed, duration, opts),
+                            run_cell(plan_ref, cell, s, faults, seed, duration, opts),
                         )
                     })
                     .collect()

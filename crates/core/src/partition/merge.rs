@@ -6,7 +6,8 @@
 //! Prometheus exposition, CSV, JSON dump, Chrome trace, audit report, and
 //! chaos summary are byte-identical at any shard count (spec invariant
 //! **P5**, pinned by the `shards_*_byte_identical` tests in
-//! `tests/partition.rs` and the CLI differential tests).
+//! `tests/partition.rs` and the CLI differential tests). Merging a single
+//! cell is the identity: every merge returns that cell's output unchanged.
 
 use std::cmp::Ordering;
 
@@ -15,8 +16,7 @@ use crate::fault::FaultSummary;
 use crate::metrics::LatencySummary;
 use crate::run::RunResult;
 use crate::telemetry::{Metric, MetricValue, MetricsRegistry, MetricsSnapshot, StreamingHistogram};
-use crate::time::SimDuration;
-use crate::trace::AuditReport;
+use crate::trace::{chrome_trace, AuditReport};
 use serde::Value;
 use serde_json::json;
 
@@ -29,7 +29,8 @@ use super::exec::CellOutput;
 /// percentiles); throughput and goodput are recomputed from the merged
 /// counts over the shared measurement window. The merged result carries
 /// the *master* seed — each cell ran under its own derived
-/// [`cell_seed`](super::cell_seed).
+/// [`cell_seed`](super::cell_seed). A single cell, which ran under the
+/// master seed itself, is returned unchanged.
 ///
 /// # Panics
 ///
@@ -37,6 +38,9 @@ use super::exec::CellOutput;
 /// produces at least one cell).
 pub fn merge_results(master_seed: u64, cells: &[CellOutput]) -> RunResult {
     assert!(!cells.is_empty(), "cannot merge zero cells");
+    if let [only] = cells {
+        return only.result.clone();
+    }
     let duration = cells[0].result.duration;
     let warmup = cells[0].result.warmup;
     let mut samples = Vec::new();
@@ -202,6 +206,9 @@ fn family<'a>(reg: &'a MetricsRegistry, name: &str) -> Vec<&'a Metric> {
 /// rebuilt from the merged underlying histograms). A family emitted by no
 /// cell is omitted, exactly as an unsharded registry omits it.
 pub fn merge_registries(cells: &[CellOutput]) -> MetricsRegistry {
+    if let [only] = cells {
+        return only.registry.clone();
+    }
     let mut out = MetricsRegistry::new();
     for &(name, strategy) in FAMILIES {
         let per_cell: Vec<Vec<&Metric>> = cells.iter().map(|c| family(&c.registry, name)).collect();
@@ -366,7 +373,11 @@ pub fn merge_csv(cells: &[CellOutput]) -> Option<String> {
 /// the merged run counters / latency / snapshot / fault summary from
 /// `merged`, a `partition` block recording the cell count, and the
 /// untouched per-cell dumps under `"cells"` (in cell order) for drill-down.
+/// A single cell's dump is returned as is.
 pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
+    if let [only] = cells {
+        return only.json.clone();
+    }
     let cell_dumps: Vec<Value> = cells.iter().map(|c| c.json.clone()).collect();
     json!({
         "partition": {
@@ -395,14 +406,18 @@ pub fn merge_json(merged: &RunResult, cells: &[CellOutput]) -> Value {
 /// cell, so processes stay distinct and ordered by cell; async-span `id`s
 /// gain a `c<cell>:` prefix so span ids from different cells can never
 /// alias. Event order inside a cell is preserved; cells concatenate in
-/// cell order. Returns `None` when any cell ran without span tracing.
+/// cell order. A single cell's trace is rendered unchanged. Returns `None`
+/// when any cell ran without span tracing.
 pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
+    let render = |c: &CellOutput| Some(chrome_trace(c.span_log.as_ref()?, c.trace_meta.as_ref()?));
+    if let [only] = cells {
+        return render(only);
+    }
     let mut events: Vec<Value> = Vec::new();
     let mut base = 0u64;
     for (i, c) in cells.iter().enumerate() {
-        let trace = c.chrome.as_ref()?;
-        let arr = trace.get("traceEvents").and_then(Value::as_array)?;
-        for ev in arr {
+        let trace = render(c)?;
+        for ev in trace.get("traceEvents").and_then(Value::as_array)? {
             let mut ev = ev.clone();
             if let Value::Object(map) = &mut ev {
                 if let Some(pid) = map.get("pid").and_then(Value::as_u64) {
@@ -425,9 +440,13 @@ pub fn merge_chrome_traces(cells: &[CellOutput]) -> Option<Value> {
 
 /// Merges per-cell audit reports: counts sum, violations and notes
 /// concatenate in cell order with a `[cell <i>]` prefix. The merged report
-/// is clean iff every per-cell report is clean. Returns `None` when any
-/// cell ran without span tracing (no log to audit).
+/// is clean iff every per-cell report is clean; a single cell's report is
+/// returned as is. Returns `None` when any cell ran without span tracing
+/// (no log to audit).
 pub fn merge_audits(cells: &[CellOutput]) -> Option<AuditReport> {
+    if let [only] = cells {
+        return only.audit.clone();
+    }
     let mut out = AuditReport::default();
     for (i, c) in cells.iter().enumerate() {
         let r = c.audit.as_ref()?;
@@ -462,13 +481,6 @@ pub fn merge_fault_summaries(summaries: &[&FaultSummary]) -> FaultSummary {
     out.timeline
         .sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap_or(Ordering::Equal));
     out
-}
-
-/// The measurement window length shared by every cell of a partitioned
-/// run, in seconds (duration minus warmup, floored at machine epsilon).
-#[allow(dead_code)]
-fn measured_secs(duration: SimDuration, warmup: SimDuration) -> f64 {
-    (duration.as_secs_f64() - warmup.as_secs_f64()).max(f64::EPSILON)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Partitioned single-run parallelism: shard one scenario across cores.
 //!
 //! The sweep engine (`uqsim-runner`) parallelizes *across* independent
-//! simulations; this module parallelizes *inside* one big scenario. The
-//! full execution-model specification — ownership rules, message timestamp
-//! invariants, lookahead derivation, and the determinism argument — lives
-//! in `DESIGN.md §11`; the spec's invariants are referenced below and in
-//! the test suite as **P1**–**P7**.
+//! simulations; this module parallelizes *inside* one big scenario. It is
+//! also the only way the CLI and the sweep runner run a scenario: a
+//! scenario that forms a single cell simply runs as that one cell. The
+//! full execution-model specification — ownership rules, placement, and
+//! the determinism argument — lives in `DESIGN.md §11`; the spec's
+//! invariants are referenced below and in the test suite as **P1**–**P7**.
 //!
 //! # The model in one paragraph
 //!
@@ -16,25 +17,21 @@
 //! is request-closed by construction: no request, reply, pool grant, or
 //! fault effect ever crosses a cell boundary (**P1**), so each cell runs
 //! as a complete, independent [`Simulator`](crate::sim::Simulator) with
-//! its own ladder queue, arenas, RNG streams, and telemetry sampler. Cells
-//! are deterministically assigned to `K` shards (LPT bin packing, **P2**)
-//! and driven by `vendor/minipool` workers through conservative sync
-//! windows ([`ShardClocks`]); per-cell seeds derive from the master seed
-//! and the cell index alone (**P3**). Because nothing a cell computes
-//! depends on `K`, worker scheduling, or sync timing (**P4**), and every
-//! merge (the `merge` layer) is a deterministic function of per-cell outputs in
-//! cell order (**P5**), the merged run/trace/metrics/chaos outputs are
-//! **byte-identical at any shard count** — the same guarantee the sweep
-//! engine makes for `--jobs`.
+//! its own ladder queue, arenas, RNG streams, and telemetry sampler, from
+//! start to deadline in one `run_for` — no cell ever waits on another.
+//! Cells are deterministically assigned to `K` shards (LPT bin packing,
+//! **P2**) and executed by `vendor/minipool` workers; per-cell seeds
+//! derive from the master seed and the cell index alone, and a one-cell
+//! plan keeps the master seed (**P3**). Because nothing a cell computes
+//! depends on `K` or worker scheduling (**P4**), and every merge (the
+//! `merge` layer) is a deterministic function of per-cell outputs in cell
+//! order that is the identity for a single cell (**P5**), the merged
+//! run/trace/metrics/chaos outputs are **byte-identical at any shard
+//! count** — the same guarantee the sweep engine makes for `--jobs`.
 //!
-//! Cross-*cell* traffic does not exist in this version (cells are closed);
-//! the conservative-sync layer ([`ShardClocks`], [`LookaheadMatrix`])
-//! still bounds every cell's advance the CMB way — horizon = min over
-//! in-neighbors of (published clock + lookahead), with the lookahead of a
-//! link derived from the wire-latency floor
-//! ([`Distribution::lower_bound`](crate::dist::Distribution::lower_bound))
-//! that every cross-machine hop must pay (**P6**). DESIGN.md §11.6
-//! specifies the v2 cross-cell RPC protocol on top of the same clocks.
+//! Cross-*cell* traffic does not exist in this version (cells are
+//! closed). DESIGN.md §11.6 parks a cross-cell RPC protocol, which would
+//! have to bring back a conservative synchronization layer.
 //!
 //! # Quick start
 //!
@@ -54,17 +51,15 @@
 //! # }
 //! ```
 
-mod clock;
 mod exec;
 mod graph;
 mod merge;
 mod plan;
 
-pub use clock::ShardClocks;
 pub use exec::{run_partitioned, CellOutput, PartitionOptions, PartitionedRun};
 pub use graph::{split_cells, split_fault_plan, CellSpec};
 pub use merge::{
     merge_audits, merge_chrome_traces, merge_csv, merge_fault_summaries, merge_json,
     merge_registries, merge_results,
 };
-pub use plan::{cell_seed, LookaheadMatrix, PartitionPlan};
+pub use plan::{cell_seed, PartitionPlan};

@@ -1,12 +1,14 @@
 //! One-shot "build, run, summarize" entry point.
 //!
-//! [`run_one`] is the unit of work the parallel sweep engine
-//! (`uqsim_runner`) fans across threads: it takes a *scenario description*
-//! (plain data, cheap to clone and [`Send`]), overrides the seed, builds a
-//! fresh [`Simulator`](crate::sim::Simulator), runs it for a fixed simulated duration, and returns
-//! a compact, `Send` summary. Because each call owns its simulator and the
-//! scenario is immutable input, any number of `run_one` calls can execute
-//! concurrently with byte-for-byte the results of running them serially.
+//! [`run_one`] runs a whole scenario as one simulator, through the same
+//! run sequence every cell of [`crate::partition::run_partitioned`] (the
+//! unit of work the parallel sweep engine fans across threads) uses: it
+//! takes a *scenario description* (plain data, cheap to clone and
+//! [`Send`]), overrides the seed, builds a fresh [`Simulator`], runs it
+//! for a fixed simulated duration, and returns a compact, `Send` summary.
+//! Because each call owns its simulator and the scenario is immutable
+//! input, any number of `run_one` calls can execute concurrently with
+//! byte-for-byte the results of running them serially.
 //!
 //! # Examples
 //!
@@ -32,6 +34,7 @@ use crate::config::ScenarioConfig;
 use crate::error::SimResult;
 use crate::fault::{FaultPlan, FaultSummary};
 use crate::metrics::LatencySummary;
+use crate::sim::Simulator;
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig};
 use crate::time::SimDuration;
 
@@ -193,29 +196,49 @@ pub fn run_one_faulted(
     seed: u64,
     duration: SimDuration,
 ) -> SimResult<RunResult> {
-    let cfg = cfg.with_seed(seed);
+    let telemetry = TelemetryConfig {
+        critpath: true,
+        ..TelemetryConfig::default()
+    };
+    simulate(
+        &cfg.with_seed(seed),
+        faults,
+        duration,
+        Some(telemetry),
+        None,
+    )
+    .map(|(_, r)| r)
+}
+
+/// The one run sequence every entry point shares — [`run_one_faulted`]
+/// and each cell of [`crate::partition::run_partitioned`]: build `cfg`
+/// (seed included), install `faults`, install only the observers asked
+/// for, run once for `duration`, and summarize. Returns the finished
+/// simulator alongside the summary so callers can export from it.
+pub(crate) fn simulate(
+    cfg: &ScenarioConfig,
+    faults: Option<&FaultPlan>,
+    duration: SimDuration,
+    telemetry: Option<TelemetryConfig>,
+    span_tracing: Option<usize>,
+) -> SimResult<(Simulator, RunResult)> {
     let mut sim = cfg.build()?;
     if let Some(plan) = faults {
         sim.install_faults(plan)?;
     }
-    sim.enable_telemetry(TelemetryConfig {
-        critpath: true,
-        ..TelemetryConfig::default()
-    });
+    if let Some(t) = telemetry {
+        sim.enable_telemetry(t);
+    }
+    if let Some(cap) = span_tracing {
+        sim.enable_span_tracing(cap);
+    }
     sim.run_for(duration);
-    Ok(summarize(&sim, seed, duration, cfg.warmup_s))
+    let result = summarize(&sim, cfg.seed, duration, cfg.warmup_s);
+    Ok((sim, result))
 }
 
-/// Summarizes a finished simulator into a [`RunResult`]. Shared by
-/// [`run_one_faulted`] and the partitioned engine
-/// ([`crate::partition::run_partitioned`]), which must summarize each cell
-/// with byte-for-byte the same arithmetic.
-pub(crate) fn summarize(
-    sim: &crate::sim::Simulator,
-    seed: u64,
-    duration: SimDuration,
-    warmup_s: f64,
-) -> RunResult {
+/// Summarizes a finished simulator into a [`RunResult`].
+fn summarize(sim: &Simulator, seed: u64, duration: SimDuration, warmup_s: f64) -> RunResult {
     let latency = sim.latency_summary();
     let warmup = SimDuration::from_secs_f64(warmup_s);
     let measured = (duration.as_secs_f64() - warmup_s).max(f64::EPSILON);
@@ -245,7 +268,6 @@ pub(crate) fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
 
     /// The compile-time guarantee the parallel runner relies on: a built
     /// simulator (controllers included) can move across threads.

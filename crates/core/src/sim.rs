@@ -347,31 +347,6 @@ impl Simulator {
         self.run_until(self.now + duration);
     }
 
-    /// Advances the simulation through every pending event with timestamp
-    /// `<= horizon`, then returns with the simulator *paused*: no `Stop`
-    /// event is scheduled, the clock rests on the last processed event, and
-    /// a later `run_until_paused`/[`Simulator::run_until`] call resumes
-    /// exactly where this one left off.
-    ///
-    /// This is the chunked-advance primitive of the partitioned execution
-    /// engine ([`crate::partition`]): a shard worker repeatedly advances
-    /// its cells to conservative sync horizons. Because pausing injects no
-    /// event, a run chopped into any sequence of non-decreasing horizons
-    /// followed by a final [`Simulator::run_until`] pops the same events in
-    /// the same `(time, seq)` order — and therefore draws the same random
-    /// numbers and produces the same state — as one uninterrupted
-    /// `run_until` (spec invariant **P4** in DESIGN.md §11, enforced by
-    /// `chunked_advance_matches_single_shot` in `tests/partition.rs`).
-    pub fn run_until_paused(&mut self, horizon: SimTime) {
-        while self.events.peek_time().is_some_and(|t| t <= horizon) {
-            let ev = self.events.pop().expect("peeked event must pop");
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.events_processed += 1;
-            self.handle(ev.kind);
-        }
-    }
-
     /// Registers a controller; its first tick fires `first_tick()` from now.
     pub fn add_controller(&mut self, controller: Box<dyn Controller>) -> ControllerId {
         let id = ControllerId::from_raw(self.controllers.len() as u32);
@@ -769,44 +744,6 @@ impl Simulator {
             .iter()
             .position(|i| i.name == name)
             .map(|i| InstanceId::from_raw(i as u32))
-    }
-
-    /// Mean core utilization of an instance since time zero.
-    ///
-    /// **Deprecated in spirit**: averaging from time zero folds the warmup
-    /// ramp into the number, which skews short runs. Prefer
-    /// [`Simulator::instance_utilization_since`] with the warmup boundary
-    /// (or any checkpointed time); this wrapper is kept for callers that
-    /// genuinely want the whole-run average.
-    ///
-    /// **Removal timeline**: this wrapper (and
-    /// [`Simulator::network_utilization`]) will gain a `#[deprecated]`
-    /// attribute in the release after next and be removed in 0.3.0;
-    /// migrate to the `_since` form with `SimTime::ZERO` to keep the
-    /// whole-run semantics.
-    pub fn instance_utilization(&self, instance: InstanceId) -> f64 {
-        let inst = &self.instances[instance.index()];
-        if self.now == SimTime::ZERO || inst.cores.is_empty() {
-            return 0.0;
-        }
-        let m = &self.machines[inst.machine.index()];
-        let busy: u64 = inst.cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        busy as f64 / (self.now.as_nanos() as f64 * inst.cores.len() as f64)
-    }
-
-    /// Mean irq-core utilization of a machine since time zero.
-    ///
-    /// **Deprecated in spirit**: see [`Simulator::instance_utilization`] —
-    /// prefer [`Simulator::network_utilization_since`] to exclude warmup.
-    /// Shares that wrapper's removal timeline (attribute next release,
-    /// gone in 0.3.0).
-    pub fn network_utilization(&self, machine: MachineId) -> f64 {
-        let m = &self.machines[machine.index()];
-        if self.now == SimTime::ZERO || m.irq_cores.is_empty() {
-            return 0.0;
-        }
-        let busy: u64 = m.irq_cores.iter().map(|&c| m.cores[c].busy_ns).sum();
-        busy as f64 / (self.now.as_nanos() as f64 * m.irq_cores.len() as f64)
     }
 
     /// Total jobs currently queued at an instance.

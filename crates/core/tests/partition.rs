@@ -8,13 +8,12 @@ use uqsim_core::config::ScenarioConfig;
 use uqsim_core::dist::Distribution;
 use uqsim_core::fault::FaultPlan;
 use uqsim_core::partition::{
-    cell_seed, run_partitioned, split_cells, LookaheadMatrix, PartitionOptions, PartitionPlan,
-    ShardClocks,
+    cell_seed, run_partitioned, split_cells, PartitionOptions, PartitionPlan,
 };
 use uqsim_core::rng::RngFactory;
 use uqsim_core::run::EXAMPLE_SCENARIO;
 use uqsim_core::telemetry::TelemetryConfig;
-use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::time::SimDuration;
 
 /// A cluster of `pods` independent single-machine pods. Pod 1 (when
 /// present) additionally hosts a second instance and a connection pool on
@@ -134,7 +133,6 @@ fn full_options(shards: usize) -> PartitionOptions {
             ..TelemetryConfig::default()
         },
         span_tracing: Some(1 << 16),
-        sync_windows: 8,
     }
 }
 
@@ -312,68 +310,13 @@ fn cell_seed_derivation_is_pinned() {
 }
 
 // ---------------------------------------------------------------------
-// P4: chunked advancement ≡ single-shot
+// Wire-latency floors (the lookahead a parked cross-cell protocol needs)
 // ---------------------------------------------------------------------
 
-/// **P4** — advancing through paused horizons and finishing with
-/// `run_until` reproduces a single-shot `run_until` exactly. (Horizons are
-/// odd nanosecond counts so no event collides with a chunk boundary.)
-#[test]
-fn chunked_advance_matches_single_shot() {
-    let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    let deadline = SimTime::from_nanos(400_000_001);
-
-    let mut single = cfg.build().unwrap();
-    single.run_until(deadline);
-
-    let mut chunked = cfg.build().unwrap();
-    for boundary in [50_000_003u64, 133_333_337, 250_000_001, 399_999_999] {
-        chunked.run_until_paused(SimTime::from_nanos(boundary));
-    }
-    chunked.run_until(deadline);
-
-    assert_eq!(single.generated(), chunked.generated());
-    assert_eq!(single.completed(), chunked.completed());
-    assert_eq!(single.timeouts(), chunked.timeouts());
-    assert_eq!(single.latency_summary(), chunked.latency_summary());
-    assert_eq!(single.events_processed(), chunked.events_processed());
-}
-
-// ---------------------------------------------------------------------
-// P6: lookahead and conservative horizons
-// ---------------------------------------------------------------------
-
-/// **P6** — a cell's horizon is the minimum over in-neighbors of
-/// `published clock + link lookahead`, unbounded with no in-links.
-#[test]
-fn horizons_follow_neighbor_clocks() {
-    let la = LookaheadMatrix::from_links(
-        3,
-        &[
-            (0, 2, SimDuration::from_micros(20)),
-            (1, 2, SimDuration::from_micros(50)),
-        ],
-    );
-    let clocks = ShardClocks::new(3);
-    assert_eq!(clocks.horizon(0, &la), SimTime::MAX, "no in-links");
-    assert_eq!(
-        clocks.horizon(2, &la),
-        SimTime::from_nanos(20_000),
-        "both neighbor clocks at zero: min lookahead binds"
-    );
-    clocks.publish(0, SimTime::from_nanos(100_000));
-    assert_eq!(
-        clocks.horizon(2, &la),
-        SimTime::from_nanos(50_000),
-        "cell 1's unpublished clock now binds"
-    );
-    clocks.publish(1, SimTime::from_nanos(100_000));
-    assert_eq!(clocks.horizon(2, &la), SimTime::from_nanos(120_000));
-}
-
-/// **P6** — the lookahead of a cross-cell link is the wire-latency floor:
-/// `Distribution::lower_bound` of the destination's wire-latency
-/// distribution, which samples can never undercut.
+/// The lookahead a cross-cell link would have (DESIGN.md §11.6, parked)
+/// is the wire-latency floor: `Distribution::lower_bound` of the
+/// destination's wire-latency distribution, which samples can never
+/// undercut.
 #[test]
 fn lookahead_floor_is_wire_latency_lower_bound() {
     let cfg = cluster(2);
@@ -449,22 +392,36 @@ fn shards_never_change_results_faulted() {
     }
 }
 
-/// **P5** — merging a single cell is the identity for the registry (the
-/// canonical family walk and histogram rebuilds reproduce the cell's own
-/// exposition byte-for-byte).
+/// **P5** — merging a single cell is the identity: the merged registry,
+/// run summary, JSON dump, Chrome trace, and audit are the cell's own, and
+/// equal what one simulator running the whole scenario under the master
+/// seed exports.
 #[test]
 fn merge_of_one_cell_is_registry_identity() {
     let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    let run = run_partitioned(
-        &cfg,
-        None,
-        7,
-        SimDuration::from_millis(300),
-        &full_options(2),
-    )
-    .unwrap();
+    let d = SimDuration::from_millis(300);
+    let opts = full_options(2);
+    let run = run_partitioned(&cfg, None, 7, d, &opts).unwrap();
     assert_eq!(run.cells.len(), 1);
-    assert_eq!(run.prometheus(), run.cells[0].registry.to_prometheus());
+    let cell = &run.cells[0];
+    assert_eq!(run.prometheus(), cell.registry.to_prometheus());
+    assert_eq!(run.result, cell.result);
+    assert_eq!(run.json(), cell.json);
+    assert_eq!(run.audit(), cell.audit);
+    assert!(!serde_json::to_string(&run.chrome_trace().unwrap())
+        .unwrap()
+        .contains("\"c0:"));
+
+    let mut sim = cfg.with_seed(7).build().unwrap();
+    sim.enable_telemetry(opts.telemetry);
+    sim.enable_span_tracing(opts.span_tracing.unwrap());
+    sim.run_for(d);
+    assert_eq!(run.result.seed, 7, "a one-cell plan keeps the master seed");
+    assert_eq!(run.result.completed, sim.completed());
+    assert_eq!(run.prometheus(), sim.metrics_prometheus());
+    assert_eq!(run.json(), sim.metrics_json());
+    assert_eq!(run.chrome_trace(), sim.chrome_trace());
+    assert_eq!(run.audit(), sim.audit_trace());
 }
 
 /// **P5** — the merged audit is clean whenever every per-cell audit is

@@ -1,20 +1,20 @@
 //! Scenario-level sweep execution: QPS grid × seed replications, fanned
 //! across a thread pool, aggregated into a stable table.
 //!
-//! The unit of work is [`uqsim_core::run_one`]; a sweep of `Q` QPS points
-//! with `R` replications submits `Q·R` independent cells. Aggregation
-//! folds replications in seed order and points in grid order, so a
-//! [`SweepTable`] — and its CSV/JSON serializations — is byte-identical
-//! for a fixed `(scenario, qps grid, reps, base_seed, duration)` at *any*
-//! worker count.
+//! The unit of work is one [`uqsim_core::run_partitioned`] call; a sweep
+//! of `Q` QPS points with `R` replications submits `Q·R` independent
+//! cells. Aggregation folds replications in seed order and points in grid
+//! order, so a [`SweepTable`] — and its CSV/JSON serializations — is
+//! byte-identical for a fixed `(scenario, qps grid, reps, base_seed,
+//! duration)` at *any* worker count.
 
 use crate::stats::{mean_ci95, MeanCi};
 use crate::try_run_indexed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uqsim_core::config::ScenarioConfig;
-use uqsim_core::run::{run_one_faulted, RunResult};
+use uqsim_core::run::RunResult;
 use uqsim_core::time::SimDuration;
-use uqsim_core::{FaultPlan, SimResult};
+use uqsim_core::{run_partitioned, FaultPlan, PartitionOptions, SimResult, TelemetryConfig};
 
 /// SplitMix64 finalizer (same mixing the core's RNG factory uses).
 fn splitmix64(mut z: u64) -> u64 {
@@ -104,12 +104,10 @@ pub struct SweepSpec {
     /// determinism key: a fixed `(scenario, plan, grid, reps, base_seed,
     /// duration)` is byte-identical at any `jobs`.
     pub faults: Option<FaultPlan>,
-    /// Engine selection per cell: `0` runs the classic single-simulator
-    /// engine ([`run_one_faulted`]); `N ≥ 1` runs the partitioned engine
-    /// ([`uqsim_core::run_partitioned`]) at `N` shards. Partitioned
-    /// results are byte-identical at any `N ≥ 1` (spec invariant **P7**)
-    /// but use per-cell RNG streams, so they differ numerically from
-    /// `shards: 0` — pick one engine per experiment.
+    /// Worker shards each grid cell's [`uqsim_core::run_partitioned`]
+    /// call spreads the scenario's request-closed cells over (`0` is
+    /// treated as `1`). Affects wall-clock only: results are
+    /// byte-identical at any value (spec invariant **P7**).
     pub shards: usize,
 }
 
@@ -369,7 +367,10 @@ fn aggregate(offered_qps: f64, reps: &[RunResult]) -> SweepRow {
 ///
 /// Each cell re-scales the scenario to its offered load
 /// ([`ScenarioConfig::with_offered_qps`]) and re-seeds it ([`seed_for`]),
-/// then runs [`run_one_faulted`] with the spec's fault plan (if any).
+/// then runs it through [`uqsim_core::run_partitioned`] with the spec's
+/// fault plan (if any) and the critical-path profile on. A scenario that
+/// forms one cell gives exactly [`uqsim_core::run::run_one_faulted`]'s
+/// result.
 /// `progress` is invoked once per finished cell, possibly from worker
 /// threads (hence `Sync`).
 ///
@@ -387,21 +388,24 @@ pub fn run_scenario_sweep(
     let scaled: Vec<ScenarioConfig> = spec.qps.iter().map(|&q| cfg.with_offered_qps(q)).collect();
     let total = scaled.len() * reps;
     let finished = AtomicUsize::new(0);
+    let opts = PartitionOptions {
+        telemetry: TelemetryConfig {
+            critpath: true,
+            ..TelemetryConfig::default()
+        },
+        ..PartitionOptions::with_shards(spec.shards)
+    };
     let results: Vec<RunResult> = try_run_indexed(spec.jobs, total, |i| {
         let (qi, rep) = (i / reps, i % reps);
         let seed = seed_for(spec.base_seed, rep);
-        let out = if spec.shards >= 1 {
-            uqsim_core::run_partitioned(
-                &scaled[qi],
-                spec.faults.as_ref(),
-                seed,
-                spec.duration,
-                &uqsim_core::PartitionOptions::with_shards(spec.shards),
-            )
-            .map(|run| run.result)
-        } else {
-            run_one_faulted(&scaled[qi], spec.faults.as_ref(), seed, spec.duration)
-        };
+        let out = run_partitioned(
+            &scaled[qi],
+            spec.faults.as_ref(),
+            seed,
+            spec.duration,
+            &opts,
+        )
+        .map(|run| run.result);
         progress(Progress {
             finished: finished.fetch_add(1, Ordering::Relaxed) + 1,
             total,
@@ -630,10 +634,10 @@ mod tests {
             );
             assert_eq!(base.to_json(), other.to_json());
         }
-        // The partitioned engine draws per-cell RNG streams, so it is a
-        // different (equally valid) statistical sample from shards: 0.
+        // A one-cell scenario keeps the master seed, so `shards: 0` (read
+        // as 1) is the same run too.
         let classic = run_scenario_sweep(&cfg, &spec(1, 0), &|_| {}).unwrap();
-        assert_ne!(base.to_csv(), classic.to_csv());
+        assert_eq!(base.to_csv(), classic.to_csv());
     }
 
     #[test]
