@@ -31,8 +31,6 @@ pub struct CommonOpts {
     pub seed: u64,
     /// Latency warmup.
     pub warmup: SimDuration,
-    /// Windowed-stats width, if any.
-    pub window: Option<SimDuration>,
     /// Noise profile standing in for real-system effects, if any.
     pub noise: Option<NoiseProfile>,
 }
@@ -42,7 +40,6 @@ impl Default for CommonOpts {
         CommonOpts {
             seed: 42,
             warmup: SimDuration::from_secs(1),
-            window: None,
             noise: None,
         }
     }
@@ -52,9 +49,6 @@ impl CommonOpts {
     fn builder(&self) -> ScenarioBuilder {
         let mut b = ScenarioBuilder::new(self.seed);
         b.warmup(self.warmup);
-        if let Some(w) = self.window {
-            b.window(w);
-        }
         b
     }
 

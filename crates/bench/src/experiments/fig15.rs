@@ -6,8 +6,8 @@
 use crate::RunOpts;
 use uqsim_apps::scenarios::{two_tier, TwoTierConfig};
 use uqsim_core::client::{ArrivalProcess, RateSchedule};
-use uqsim_core::metrics::WindowStats;
-use uqsim_core::time::SimDuration;
+use uqsim_core::telemetry::{TelemetryConfig, TelemetryWindow};
+use uqsim_core::time::{SimDuration, SimTime};
 use uqsim_core::SimResult;
 
 /// The generated series.
@@ -15,8 +15,9 @@ use uqsim_core::SimResult;
 pub struct Result {
     /// The piecewise-constant offered-rate schedule: `(start_s, qps)`.
     pub schedule: Vec<(f64, f64)>,
-    /// Windowed achieved throughput and latency.
-    pub windows: Vec<WindowStats>,
+    /// Windowed achieved throughput and latency (the telemetry sampler's
+    /// windows; each covers the `period / 24` interval ending at `end`).
+    pub windows: Vec<TelemetryWindow>,
 }
 
 /// Runs the experiment.
@@ -34,22 +35,26 @@ pub fn run(opts: &RunOpts) -> SimResult<Result> {
         schedule: schedule.clone(),
     };
     cfg.common.warmup = SimDuration::from_millis(0);
-    cfg.common.window = Some(SimDuration::from_secs_f64(period / 24.0));
+    let width = SimDuration::from_secs_f64(period / 24.0);
     let mut sim = two_tier(&cfg)?;
+    sim.enable_telemetry(TelemetryConfig {
+        sample_interval: Some(width),
+        ..TelemetryConfig::default()
+    });
     sim.run_for(SimDuration::from_secs_f64(2.0 * period));
-    let windows: Vec<WindowStats> = sim.window_series().unwrap_or(&[]).to_vec();
+    let windows = sim.telemetry_windows().to_vec();
     println!(
         "{:>9} {:>12} {:>14} {:>9}",
         "time_s", "offered_qps", "achieved_qps", "p99_ms"
     );
     for w in &windows {
-        let offered = schedule.rate_at(w.start);
+        let start = SimTime::from_nanos(w.end.as_nanos() - width.as_nanos());
         println!(
             "{:>9.1} {:>12.0} {:>14.0} {:>9.3}",
-            w.start.as_secs_f64(),
-            offered,
+            start.as_secs_f64(),
+            schedule.rate_at(start),
             w.throughput,
-            w.latency.p99 * 1e3
+            w.p99_s * 1e3
         );
     }
     println!(

@@ -17,14 +17,12 @@ pub struct NodeRuntime {
     pub arrivals: u32,
     /// Connection that carried the request into this node (for replies).
     pub entry_conn: Option<ConnectionId>,
-    /// Instance that executed the node.
+    /// Instance that executed the node (read by `same_as_node` routing).
     pub instance: Option<InstanceId>,
-    /// Worker thread that executed the node.
+    /// Worker thread that executed the node (read by `pin_thread_of`).
     pub thread: Option<ThreadId>,
     /// When the (merged) job entered the node's instance.
     pub enter: Option<SimTime>,
-    /// When the node's execution finished.
-    pub exit: Option<SimTime>,
 }
 
 /// A live request.

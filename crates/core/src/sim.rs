@@ -17,7 +17,7 @@ use crate::ids::{
 };
 use crate::job::{JobArena, RequestArena};
 use crate::machine::{Core, MachineSpec};
-use crate::metrics::{LatencyRecorder, LatencySummary, WindowStats, WindowedRecorder};
+use crate::metrics::{LatencyRecorder, LatencySummary};
 use crate::path::{InstanceSelect, LinkKind, NodeTarget, PathSelect, RequestType};
 use crate::service::ServiceModel;
 use crate::time::{SimDuration, SimTime};
@@ -47,8 +47,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Completions before this time are excluded from the latency summary.
     pub warmup: SimDuration,
-    /// If set, also collect fixed-width windowed latency series.
-    pub window: Option<SimDuration>,
 }
 
 impl Default for SimConfig {
@@ -56,7 +54,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 1,
             warmup: SimDuration::from_secs(1),
-            window: None,
         }
     }
 }
@@ -225,7 +222,6 @@ pub struct Simulator {
     // Metrics.
     pub(crate) e2e: LatencyRecorder,
     pub(crate) per_type: Vec<LatencyRecorder>,
-    pub(crate) windowed: Option<WindowedRecorder>,
     pub(crate) interval_e2e: Vec<f64>,
     pub(crate) interval_instance: Vec<Vec<f64>>,
     pub(crate) instance_residency: Vec<LatencyRecorder>,
@@ -235,8 +231,6 @@ pub struct Simulator {
     pub(crate) completed_after_timeout: u64,
     pub(crate) events_processed: u64,
     pub(crate) stopped: bool,
-    pub(crate) tracing: Option<TraceConfig>,
-    pub(crate) traces: Vec<RequestTrace>,
     /// Span/event recorder (see [`crate::trace`]); `None` keeps every
     /// hot-path hook to a single branch.
     pub(crate) span_log: Option<Box<TraceLog>>,
@@ -266,39 +260,6 @@ pub struct Simulator {
     /// Latencies of requests at their timeout deadline (the latency the
     /// client observed for failed calls); never mixed into `e2e`.
     pub(crate) e2e_timeout: LatencyRecorder,
-}
-
-/// Request-tracing configuration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceConfig {
-    pub(crate) sample_every: u64,
-    pub(crate) capacity: usize,
-}
-
-/// One traced span: a request's visit to one path node.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct SpanRecord {
-    /// Path-node name.
-    pub node: String,
-    /// Instance name the node executed on (empty for the client sink).
-    pub instance: String,
-    /// When the job entered the instance.
-    pub enter: SimTime,
-    /// When the node's execution finished.
-    pub exit: SimTime,
-}
-
-/// A sampled end-to-end request trace (distributed-tracing style).
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct RequestTrace {
-    /// Request-type name.
-    pub request_type: String,
-    /// When the client generated the request.
-    pub submitted: SimTime,
-    /// When the response reached the client.
-    pub completed: SimTime,
-    /// Per-node spans, in node-id order.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -411,11 +372,6 @@ impl Simulator {
             .map(|i| crate::ids::RequestTypeId::from_raw(i as u32))
     }
 
-    /// The windowed latency series, if window collection was enabled.
-    pub fn window_series(&self) -> Option<&[WindowStats]> {
-        self.windowed.as_ref().map(|w| w.finished())
-    }
-
     /// Requests generated so far.
     pub fn generated(&self) -> u64 {
         self.generated
@@ -514,26 +470,6 @@ impl Simulator {
         s.degraded = self.degraded;
         s.timed_out = self.timeouts;
         Some(s)
-    }
-
-    /// Enables request tracing: every `sample_every`-th completion is
-    /// recorded (up to `capacity` traces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every` is zero.
-    pub fn enable_tracing(&mut self, sample_every: u64, capacity: usize) {
-        assert!(sample_every > 0, "sample_every must be positive");
-        self.tracing = Some(TraceConfig {
-            sample_every,
-            capacity,
-        });
-        self.traces.reserve(capacity.min(4096));
-    }
-
-    /// The traces recorded so far.
-    pub fn traces(&self) -> &[RequestTrace] {
-        &self.traces
     }
 
     /// Enables per-request span tracing (see [`crate::trace`]): every
@@ -811,15 +747,7 @@ impl Simulator {
             ),
             EventKind::HedgeFire { request } => self.on_hedge_fire(request),
             EventKind::NetRetransmit(rt) => self.on_net_retransmit(rt.job, rt.from, rt.dest),
-            EventKind::Stop => {
-                // Close windowed-latency windows up to the stop time so
-                // trailing idle periods appear as explicit count=0 windows
-                // instead of silently truncating the time axis.
-                if let Some(w) = &mut self.windowed {
-                    w.advance_to(self.now);
-                }
-                self.stopped = true;
-            }
+            EventKind::Stop => self.stopped = true,
         }
     }
 
@@ -1037,9 +965,6 @@ impl Simulator {
         } else {
             self.e2e.record(self.now, latency);
             self.per_type[ty.index()].record(self.now, latency);
-            if let Some(w) = &mut self.windowed {
-                w.record(self.now, latency);
-            }
             if !self.controllers.is_empty() {
                 self.interval_e2e.push(latency.as_secs_f64());
             }
@@ -1060,7 +985,6 @@ impl Simulator {
             self.fault_on_success(client);
         }
         self.completed += 1;
-        self.maybe_trace(rid);
         let measured = !timed_out && !superseded && self.now >= SimTime::ZERO + self.cfg.warmup;
         if let Some(log) = self.span_log.as_deref_mut() {
             log.record(TraceEvent::RequestCompleted {
@@ -1190,39 +1114,6 @@ impl Simulator {
         }
         // Resilience policy: a timeout is a client-observed failure.
         self.fault_on_failure(client, ty, attempt, size);
-    }
-
-    /// Records a sampled trace of a completing request.
-    fn maybe_trace(&mut self, rid: RequestId) {
-        let Some(cfg) = self.tracing else { return };
-        if self.traces.len() >= cfg.capacity || !self.completed.is_multiple_of(cfg.sample_every) {
-            return;
-        }
-        let req = self.requests.get(rid).expect("completing request exists");
-        let ty = &self.request_types[req.ty.index()];
-        let spans = req
-            .nodes
-            .iter()
-            .zip(&ty.nodes)
-            .filter_map(|(nr, spec)| match (nr.enter, nr.exit) {
-                (Some(enter), Some(exit)) => Some(SpanRecord {
-                    node: spec.name.clone(),
-                    instance: nr
-                        .instance
-                        .map(|i| self.instances[i.index()].name.clone())
-                        .unwrap_or_default(),
-                    enter,
-                    exit,
-                }),
-                _ => None,
-            })
-            .collect();
-        self.traces.push(RequestTrace {
-            request_type: ty.name.clone(),
-            submitted: req.submitted,
-            completed: self.now,
-            spans,
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1836,7 +1727,6 @@ impl Simulator {
         let ty = {
             let req = self.requests.get_mut(rid).expect("job's request exists");
             let nr = &mut req.nodes[node.index()];
-            nr.exit = Some(self.now);
             nr.instance = Some(inst_id);
             nr.thread = Some(thread);
             if let Some(enter) = nr.enter {

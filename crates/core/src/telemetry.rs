@@ -395,11 +395,12 @@ pub struct TelemetryConfig {
     pub critpath: bool,
 }
 
-/// One closed sampler window: the latency summary over completions in the
-/// `sample_interval` ending at `end`. Matches what a
-/// [`crate::metrics::WindowedRecorder`] of the same width produces for the
-/// same run — empty windows are emitted with `count = 0` so time axes are
-/// gap-free.
+/// One closed sampler window: the latency summary over completions in
+/// `[end - sample_interval, end)` (warmup included, timed-out and
+/// superseded completions excluded). A completion at exactly `end` belongs
+/// to the next window. Empty windows are emitted with `count = 0` so time
+/// axes are gap-free; a tick landing exactly on the run deadline is never
+/// processed, so the series ends at the last tick before it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TelemetryWindow {
     /// Window end (the tick time); the window covers the preceding interval.
@@ -934,8 +935,8 @@ impl TelemetryState {
         if timed_out {
             return;
         }
-        // The sampler window mirrors WindowedRecorder: every non-timed-out
-        // completion counts, warmup included.
+        // The sampler window counts every completion that was neither timed
+        // out nor superseded, warmup included.
         if self.cfg.sample_interval.is_some() {
             self.window_buf.push(latency.as_secs_f64());
         }

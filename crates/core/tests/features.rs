@@ -2,6 +2,7 @@
 //! closed-loop load generation, client-side timeouts, request tracing,
 //! per-stage statistics, payload-size-dependent costs, and NIC bandwidth.
 
+use std::collections::HashMap;
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
 use uqsim_core::client::{ClientSpec, RequestMix};
 use uqsim_core::dist::Distribution;
@@ -11,6 +12,7 @@ use uqsim_core::path::{PathNodeSpec, RequestType};
 use uqsim_core::service::{ExecPath, ServiceModel};
 use uqsim_core::stage::{QueueDiscipline, ServiceTimeModel, StageSpec};
 use uqsim_core::time::SimDuration;
+use uqsim_core::trace::TraceEvent;
 use uqsim_core::Simulator;
 
 /// A single-instance scenario with one epoll-fronted two-stage service.
@@ -196,22 +198,62 @@ fn traces_record_spans_in_order() {
         uqsim_core::ids::RequestTypeId::from_raw(0),
     );
     let mut sim = build(spec, 100e-6, 2);
-    sim.enable_tracing(10, 100);
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(2));
-    let traces = sim.traces();
-    assert!(!traces.is_empty() && traces.len() <= 100);
-    for t in traces {
-        assert_eq!(t.request_type, "get");
-        assert_eq!(t.spans.len(), 1, "one service node per request");
-        let span = &t.spans[0];
-        assert_eq!(span.instance, "svc0");
-        assert!(t.submitted <= span.enter);
-        assert!(span.enter <= span.exit);
-        assert!(span.exit <= t.completed);
+    let log = sim.span_log().unwrap();
+    assert_eq!(log.dropped(), 0);
+    let meta = sim.trace_meta();
+    // Per request: emitted <= node entered (first stage enqueue) <=
+    // NodeDone <= completed.
+    let mut emitted = HashMap::new();
+    let mut entered = HashMap::new();
+    let mut done = HashMap::new();
+    let mut completed = 0;
+    for ev in log.events() {
+        match *ev {
+            TraceEvent::RequestEmitted {
+                request,
+                request_type,
+                t,
+                ..
+            } => {
+                assert_eq!(meta.request_types[request_type.index()].name, "get");
+                emitted.insert(request, t);
+            }
+            TraceEvent::Enqueue { request, t, .. } => {
+                entered.entry(request).or_insert(t);
+            }
+            TraceEvent::NodeDone {
+                request,
+                instance,
+                t,
+                ..
+            } => {
+                assert_eq!(meta.instances[instance.index()].name, "svc0");
+                let first = done.insert(request, t).is_none();
+                assert!(first, "one service node per request");
+            }
+            TraceEvent::RequestCompleted { request, t, .. } => {
+                let (submitted, enter, exit) =
+                    (emitted[&request], entered[&request], done[&request]);
+                assert!(submitted <= enter && enter <= exit && exit <= t);
+                completed += 1;
+            }
+            _ => {}
+        }
     }
-    // Traces are serializable (export format).
-    let json = serde_json::to_string(&traces[0]).unwrap();
-    assert!(json.contains("svc0"));
+    assert!(completed > 100, "only {completed} completions");
+    // A job's stage spans follow one another: each stage is entered no
+    // earlier than the previous stage's service ended.
+    let mut stage_end = HashMap::new();
+    for s in log.spans() {
+        if let Some(prev) = stage_end.insert((s.request, s.job), s.end_t) {
+            assert!(prev <= s.enqueue_t, "stage overlaps its predecessor: {s:?}");
+        }
+    }
+    // The log exports (Chrome trace) with instance names.
+    let chrome = uqsim_core::trace::chrome_trace(log, &meta).to_string();
+    assert!(chrome.contains("svc0"));
 }
 
 #[test]

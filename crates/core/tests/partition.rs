@@ -447,6 +447,52 @@ fn partitioned_audit_stays_clean() {
     assert!(audit.events_checked > 0);
 }
 
+/// A sampler tick that lands exactly on the run deadline is never
+/// processed: with a 50 ms interval and a 300 ms run, every cell of a
+/// multi-cell `--shards 2` run closes windows at 50..250 ms, and the
+/// merged CSV ends at the last tick strictly before the deadline.
+#[test]
+fn multi_cell_sampler_series_ends_before_deadline() {
+    let cfg = cluster(4);
+    let run = run_partitioned(
+        &cfg,
+        None,
+        9,
+        SimDuration::from_millis(300),
+        &full_options(2),
+    )
+    .unwrap();
+    assert!(run.cells.len() > 1, "need a multi-cell run");
+    let ticks = [
+        "0.050000000",
+        "0.100000000",
+        "0.150000000",
+        "0.200000000",
+        "0.250000000",
+    ];
+    let tick_column = |csv: &str| {
+        let mut times: Vec<String> = csv
+            .lines()
+            .skip(1)
+            .map(|row| row.split(',').next().unwrap().to_string())
+            .collect();
+        times.dedup();
+        times
+    };
+    for cell in &run.cells {
+        let csv = cell.csv.as_deref().expect("sampler on");
+        assert_eq!(tick_column(csv), ticks, "cell {} ticks", cell.cell);
+    }
+    let merged = run.csv().expect("sampler on");
+    assert_eq!(tick_column(&merged), ticks, "merged ticks");
+    for t in ticks {
+        assert!(
+            merged.contains(&format!("{t},windowed_count,")),
+            "merged CSV lacks the {t} window"
+        );
+    }
+}
+
 proptest! {
     /// **P7**, randomized — random pod counts and master seeds, shard
     /// counts {1, 2, 4, 8}: the merged result and Prometheus exposition

@@ -1,15 +1,24 @@
 //! Integration tests of the telemetry layer: streaming-histogram accuracy
 //! against exact percentiles (proptest), merge algebra, the telescoping
-//! latency-decomposition invariant on trace-audited runs, sampler-window
-//! equivalence with [`WindowedRecorder`], and gap-free window series over
-//! trailing idle time.
+//! latency-decomposition invariant on trace-audited runs, sampler windows
+//! against an oracle rebuilt from the span log, and gap-free window series
+//! over trailing idle time.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use uqsim_core::client::{ArrivalProcess, RateSchedule};
 use uqsim_core::config::ScenarioConfig;
+use uqsim_core::dist::Distribution;
+use uqsim_core::metrics::LatencySummary;
 use uqsim_core::run::EXAMPLE_SCENARIO;
 use uqsim_core::telemetry::{StreamingHistogram, TelemetryConfig};
-use uqsim_core::time::SimDuration;
+use uqsim_core::time::{SimDuration, SimTime};
+use uqsim_core::trace::{TraceEvent, TraceLog};
+
+/// Per-job service time that makes every request of the deterministic
+/// scenario take exactly 500 µs (60 µs of network plus service), so its
+/// 2000 qps uniform arrivals complete on the sampler's 50 ms grid.
+const BOUNDARY_PER_JOB_S: f64 = 440e-6;
 
 /// Exact nearest-rank quantile over sorted integer samples — the reference
 /// the streaming histogram is measured against.
@@ -143,48 +152,114 @@ fn decomposition_sums_to_e2e_on_audited_social_network_run() {
     assert_decomposition_telescopes(&cfg, 1.0, 1_000);
 }
 
-/// The acceptance criterion tying the new sampler to the pre-existing
-/// [`WindowedRecorder`]: with the sampler interval equal to the recorder
-/// window width, both views of the same run must report bitwise-identical
-/// per-window counts and percentiles.
-#[test]
-fn telemetry_windows_match_windowed_recorder() {
-    let mut cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    cfg.window_s = Some(0.05);
+/// The oracle for sampler windows, rebuilt from the span log: one latency
+/// per completed request (`RequestEmitted` → `RequestCompleted`, not timed
+/// out, warmup included), binned into `[end - interval, end)` for each
+/// window `end` and summarized with [`LatencySummary::from_samples`].
+/// Also returns how many completions landed exactly on a window end.
+fn span_log_windows(
+    log: &TraceLog,
+    ends: &[SimTime],
+    interval: SimDuration,
+) -> (Vec<LatencySummary>, usize) {
+    let mut emitted = HashMap::new();
+    let mut bins = vec![Vec::new(); ends.len()];
+    let mut on_boundary = 0;
+    for ev in log.events() {
+        match *ev {
+            TraceEvent::RequestEmitted { request, t, .. } => {
+                emitted.insert(request, t);
+            }
+            TraceEvent::RequestCompleted {
+                request,
+                timed_out: false,
+                t,
+                ..
+            } => {
+                let latency = (t - emitted[&request]).as_secs_f64();
+                if ends.contains(&t) {
+                    on_boundary += 1;
+                }
+                if let Some(k) = ends.iter().position(|&end| t < end && t + interval >= end) {
+                    bins[k].push(latency);
+                }
+            }
+            _ => {}
+        }
+    }
+    let summaries = bins
+        .iter()
+        .map(|b| LatencySummary::from_samples(b))
+        .collect();
+    (summaries, on_boundary)
+}
+
+/// Runs `cfg` for one second with the sampler at `interval` and the span
+/// log on, and checks every sampler window bitwise against the span-log
+/// oracle. Returns the number of completions that landed exactly on a
+/// window end.
+fn assert_windows_match_span_log(cfg: &ScenarioConfig, interval: SimDuration) -> usize {
     let mut sim = cfg.build().unwrap();
     sim.enable_telemetry(TelemetryConfig {
-        sample_interval: Some(SimDuration::from_secs_f64(0.05)),
+        sample_interval: Some(interval),
         ..TelemetryConfig::default()
     });
+    sim.enable_span_tracing(1_000_000);
     sim.run_for(SimDuration::from_secs(1));
+    let log = sim.span_log().unwrap();
+    assert_eq!(log.dropped(), 0, "span log truncated");
     let tw = sim.telemetry_windows();
-    let ws = sim.window_series().expect("window collection enabled");
-    // The recorder closes its final window when the run deadline fires,
-    // one event the sampler tick at the same instant loses to; compare
-    // the common prefix.
-    let n = tw.len().min(ws.len());
-    assert!(n >= 15, "only {n} comparable windows");
-    for k in 0..n {
-        assert_eq!(tw[k].end, ws[k].end, "window {k} end");
+    assert!(tw.len() >= 15, "only {} sampler windows", tw.len());
+    let ends: Vec<SimTime> = tw.iter().map(|w| w.end).collect();
+    let (oracle, on_boundary) = span_log_windows(log, &ends, interval);
+    for (k, (w, o)) in tw.iter().zip(&oracle).enumerate() {
+        assert_eq!(w.count as usize, o.count, "window {k} count");
+        assert_eq!(w.p50_s.to_bits(), o.p50.to_bits(), "window {k} p50");
+        assert_eq!(w.p95_s.to_bits(), o.p95.to_bits(), "window {k} p95");
+        assert_eq!(w.p99_s.to_bits(), o.p99.to_bits(), "window {k} p99");
+        let throughput = o.count as f64 / interval.as_secs_f64();
         assert_eq!(
-            tw[k].count as usize, ws[k].latency.count,
-            "window {k} count"
+            w.throughput.to_bits(),
+            throughput.to_bits(),
+            "window {k} throughput"
         );
-        assert_eq!(tw[k].p50_s, ws[k].latency.p50, "window {k} p50");
-        assert_eq!(tw[k].p95_s, ws[k].latency.p95, "window {k} p95");
-        assert_eq!(tw[k].p99_s, ws[k].latency.p99, "window {k} p99");
-        assert_eq!(tw[k].throughput, ws[k].throughput, "window {k} throughput");
     }
+    on_boundary
+}
+
+/// Sampler windows equal an independent oracle built from the span log,
+/// bitwise, on a Poisson run and on a deterministic run whose completions
+/// land exactly on window ends (those belong to the *next* window).
+#[test]
+fn telemetry_windows_match_span_log_oracle() {
+    let interval = SimDuration::from_millis(50);
+    let cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
+    assert_windows_match_span_log(&cfg, interval);
+
+    // Constant service and network times under uniform arrivals: every
+    // request takes the same latency, chosen so completions fall on the
+    // 50 ms grid.
+    let mut cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
+    cfg.machines[0].network.rx_time = Distribution::constant(20e-6);
+    cfg.services[0].stages[0].service.per_job = Distribution::constant(BOUNDARY_PER_JOB_S);
+    cfg.clients[0].arrivals = ArrivalProcess::Uniform {
+        schedule: RateSchedule {
+            segments: vec![(0.0, 2000.0)],
+        },
+    };
+    let on_boundary = assert_windows_match_span_log(&cfg, interval);
+    assert!(
+        on_boundary > 0,
+        "no completion landed on a window end; the boundary rule is untested"
+    );
 }
 
 /// A run whose load stops well before the deadline must still produce a
-/// gap-free window series all the way to the deadline, with explicit
-/// count-0 windows over the idle tail — in both the windowed recorder and
-/// the telemetry sampler.
+/// gap-free sampler series up to the last tick before the deadline, with
+/// explicit count-0 windows over the idle tail.
 #[test]
 fn idle_tail_emits_trailing_empty_windows() {
     let mut cfg = ScenarioConfig::from_json(EXAMPLE_SCENARIO).unwrap();
-    cfg.window_s = Some(0.1);
     // Deterministic arrivals that effectively stop at t=0.25s (the 0.01
     // qps tail means the next arrival lands 100 simulated seconds out).
     cfg.clients[0].arrivals = ArrivalProcess::Uniform {
@@ -192,35 +267,26 @@ fn idle_tail_emits_trailing_empty_windows() {
             segments: vec![(0.0, 2000.0), (0.25, 0.01)],
         },
     };
+    let interval = SimDuration::from_millis(100);
     let mut sim = cfg.build().unwrap();
     sim.enable_telemetry(TelemetryConfig {
-        sample_interval: Some(SimDuration::from_secs_f64(0.1)),
+        sample_interval: Some(interval),
         ..TelemetryConfig::default()
     });
     sim.run_for(SimDuration::from_secs(1));
 
-    let ws = sim.window_series().expect("window collection enabled");
-    assert_eq!(ws.len(), 10, "series must reach the deadline without gaps");
-    assert!(
-        ws[0].latency.count > 0,
-        "load phase produced no completions"
-    );
-    for w in &ws[5..] {
-        assert_eq!(
-            w.latency.count, 0,
-            "idle window ending at {:?} has completions",
-            w.end
-        );
-    }
-    // Windows tile the time axis: each starts where the previous ended.
-    for pair in ws.windows(2) {
-        assert_eq!(pair[0].end, pair[1].start);
-    }
-
-    // The sampler ticks at 0.1s..0.9s (the 1.0s tick loses to the stop
-    // event) and must show the same idle tail.
+    // The sampler ticks at 0.1s..0.9s: the 1.0s tick lands exactly on the
+    // deadline and is never processed.
     let tw = sim.telemetry_windows();
     assert_eq!(tw.len(), 9);
+    assert!(tw[0].count > 0, "load phase produced no completions");
+    for (k, w) in tw.iter().enumerate() {
+        assert_eq!(
+            w.end,
+            SimTime::from_nanos(interval.as_nanos() * (k as u64 + 1)),
+            "window {k} leaves a gap"
+        );
+    }
     for w in &tw[5..] {
         assert_eq!(w.count, 0, "idle sampler window at {:?}", w.end);
     }

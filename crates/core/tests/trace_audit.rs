@@ -4,6 +4,7 @@
 //! scenario runs with span tracing enabled and must audit with zero
 //! invariant violations.
 
+use std::collections::HashMap;
 use uqsim_core::builder::{ExecSpec, ScenarioBuilder};
 use uqsim_core::client::ClientSpec;
 use uqsim_core::dist::Distribution;
@@ -301,11 +302,10 @@ fn multithreaded_ctx_switch_audits_clean() {
     );
 }
 
-/// Span-derived per-request windows agree with the old sampled-trace API:
-/// every span of a traced request falls inside its submitted..completed
-/// window (cross-validation of the two tracing subsystems).
+/// Every stage span of a completed request falls inside that request's
+/// emitted..completed window, and every completed request has one.
 #[test]
-fn span_log_agrees_with_sampled_traces() {
+fn span_log_spans_nest_inside_request_lifetimes() {
     let mut b = ScenarioBuilder::new(9);
     b.warmup(SimDuration::from_millis(100));
     let m = b.add_machine(MachineSpec {
@@ -330,22 +330,43 @@ fn span_log_agrees_with_sampled_traces() {
         .unwrap();
     b.add_client(ClientSpec::open_loop("c", 2_000.0, 64, ty), vec![i]);
     let mut sim = b.build().unwrap();
-    sim.enable_tracing(10, 100);
     sim.enable_span_tracing(2_000_000);
     sim.run_for(SimDuration::from_secs(1));
     assert_clean(&sim);
-    assert!(!sim.traces().is_empty(), "sampled traces recorded");
 
-    // Span end times per request bound the sampled spans: both subsystems
-    // observed the same executions, so every sampled span's [enter, exit]
-    // must appear among the span log's batch intervals for that instance.
-    let spans = sim.span_log().unwrap().spans();
-    for t in sim.traces() {
-        let covered = spans.iter().any(|s| {
-            s.enqueue_t >= t.submitted
-                && s.end_t <= t.completed
-                && s.end_t.as_nanos() == t.spans[0].exit.as_nanos()
-        });
-        assert!(covered, "sampled trace has no matching stage span: {t:?}");
+    let log = sim.span_log().unwrap();
+    let mut emitted = HashMap::new();
+    let mut lifetimes = HashMap::new();
+    for ev in log.events() {
+        match *ev {
+            TraceEvent::RequestEmitted { request, t, .. } => {
+                emitted.insert(request, t);
+            }
+            TraceEvent::RequestCompleted { request, t, .. } => {
+                lifetimes.insert(request, (emitted[&request], t));
+            }
+            _ => {}
+        }
     }
+    assert!(
+        lifetimes.len() > 1_000,
+        "only {} completions",
+        lifetimes.len()
+    );
+    let mut spans_per_request: HashMap<_, usize> = HashMap::new();
+    for s in log.spans() {
+        let Some(&(start, end)) = lifetimes.get(&s.request) else {
+            continue; // still in flight at the deadline
+        };
+        assert!(
+            start <= s.enqueue_t && s.end_t <= end,
+            "span outside its request's lifetime: {s:?}"
+        );
+        *spans_per_request.entry(s.request).or_default() += 1;
+    }
+    assert_eq!(
+        spans_per_request.len(),
+        lifetimes.len(),
+        "a completed request has no stage span"
+    );
 }
